@@ -83,17 +83,10 @@ void
 Daemon::seedReportFromJournal(Job &job)
 {
     SupervisorReport &report = job.report;
-    report.results.assign(job.points.size(), PointResult{});
+    report.results = SweepJournal::adopt(job.journal.get(), job.points);
     report.sources.assign(job.points.size(), PointSource::kPending);
     for (std::size_t i = 0; i < job.points.size(); ++i) {
-        report.results[i].point_id = job.points[i].point_id;
-        report.results[i].status = PointStatus::kNotRun;
-        report.results[i].seed = job.points[i].cfg.seed;
-        report.results[i].attempts = 0;
-        const auto it =
-            job.journal->completed().find(job.points[i].point_id);
-        if (it != job.journal->completed().end()) {
-            report.results[i] = it->second;
+        if (report.results[i].status != PointStatus::kNotRun) {
             report.sources[i] = PointSource::kFresh;
         }
     }

@@ -201,22 +201,32 @@ Supervisor::resolve(std::size_t index, const PointResult &result,
 }
 
 void
-Supervisor::resolveFresh(std::size_t index, const PointResult &result)
+Supervisor::journalRecord(const PointResult &result)
 {
-    const ExperimentPoint &point = (*points_)[index];
+    if (journal_ == nullptr) {
+        return;
+    }
     // Storage failures (full disk, injected ENOSPC) must not lose a
     // finished result: keep it in memory, count the brownout, and let
     // the sweep keep serving.  A later resume re-runs the point.
-    if (journal_) {
-        try {
-            journal_->record(result);
-        } catch (const std::exception &err) {
-            ++report_->storage_write_failures;
-            warn("supervisor: journal write for point {} failed ({}); "
-                 "serving the in-memory result",
-                 point.point_id, err.what());
-        }
+    try {
+        journal_->record(result);
+    } catch (const std::exception &err) {
+        ++report_->storage_write_failures;
+        warn("supervisor: journal write for point {} failed ({}); "
+             "serving the in-memory result",
+             result.point_id, err.what());
     }
+}
+
+void
+Supervisor::resolveFresh(std::size_t index, const PointResult &result)
+{
+    const ExperimentPoint &point = (*points_)[index];
+    // Cache before journal: a daemon killed between the two writes
+    // leaves a cached point the restart answers from the cache.  The
+    // other order leaves a journaled point that is never cached, so a
+    // later identical job re-simulates it.
     if (cache_ && opts_.job.use_cache &&
         result.status == PointStatus::kOk) {
         try {
@@ -228,6 +238,7 @@ Supervisor::resolveFresh(std::size_t index, const PointResult &result)
                  point.point_id, err.what());
         }
     }
+    journalRecord(result);
     dropCheckpoint(point.point_id);
     resolve(index, result,
             result.status == PointStatus::kOk
@@ -252,16 +263,7 @@ Supervisor::quarantine(std::size_t index, std::uint32_t attempts,
                hang ? "hung" : "died", attempts, point.point_id);
     warn("supervisor: point {} quarantined: {}", point.point_id,
          result.error);
-    if (journal_) {
-        try {
-            journal_->record(result);
-        } catch (const std::exception &err) {
-            ++report_->storage_write_failures;
-            warn("supervisor: journal write for point {} failed ({}); "
-                 "serving the in-memory result",
-                 point.point_id, err.what());
-        }
-    }
+    journalRecord(result);
     dropCheckpoint(point.point_id);
     resolve(index, result, PointSource::kQuarantine);
 }
@@ -586,14 +588,8 @@ Supervisor::run(const std::vector<ExperimentPoint> &points,
                 const ProgressFn &progress, const PumpFn &pump)
 {
     SupervisorReport report;
-    report.results.resize(points.size());
+    report.results = SweepJournal::adopt(journal_, points);
     report.sources.assign(points.size(), PointSource::kPending);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        report.results[i].point_id = points[i].point_id;
-        report.results[i].status = PointStatus::kNotRun;
-        report.results[i].seed = points[i].cfg.seed;
-        report.results[i].attempts = 0;
-    }
 
     points_ = &points;
     report_ = &report;
@@ -608,31 +604,19 @@ Supervisor::run(const std::vector<ExperimentPoint> &points,
         ensureDir(opts_.checkpoint_dir);
     }
 
-    // Adopt journaled results first, then answer from the cache; only
-    // the remainder is scheduled onto workers.
+    // Report journal-adopted results first, then answer from the
+    // cache; only the remainder is scheduled onto workers.
     for (std::size_t i = 0; i < points.size(); ++i) {
-        if (journal_) {
-            const auto it =
-                journal_->completed().find(points[i].point_id);
-            if (it != journal_->completed().end()) {
-                ++report.journal_reused;
-                resolve(i, it->second, PointSource::kFresh);
-                continue;
-            }
+        if (report.results[i].status != PointStatus::kNotRun) {
+            ++report.journal_reused;
+            const PointResult adopted = report.results[i];
+            resolve(i, adopted, PointSource::kFresh);
+            continue;
         }
         if (cache_ && opts_.job.use_cache) {
             if (auto cached = cache_->lookup(points[i])) {
                 ++report.cache_hits;
-                if (journal_) {
-                    try {
-                        journal_->record(*cached);
-                    } catch (const std::exception &err) {
-                        ++report.storage_write_failures;
-                        warn("supervisor: journal write for cached "
-                             "point {} failed ({}); serving anyway",
-                             points[i].point_id, err.what());
-                    }
-                }
+                journalRecord(*cached);
                 resolve(i, *cached, PointSource::kCache);
                 continue;
             }

@@ -252,6 +252,7 @@ class Supervisor
     void dropCheckpoint(std::uint64_t point_id) const;
     void applyChaos(Slot &slot);
     void onWorkerDeath(Slot &slot, bool hang);
+    void journalRecord(const PointResult &result);
     void resolveFresh(std::size_t index, const PointResult &result);
     void resolve(std::size_t index, const PointResult &result,
                  PointSource source);

@@ -75,14 +75,12 @@ classifyRun(const RunResult &result)
 }
 
 RunOutcome
-tryRunWorkload(const SystemConfig &cfg, const std::string &name,
-               bool capture_stats)
+trapRun(const std::function<void(RunOutcome &)> &body)
 {
     RunOutcome outcome;
     const ErrorTrap trap;
     try {
-        outcome.result = runWorkload(
-            cfg, name, capture_stats ? &outcome.stats : nullptr);
+        body(outcome);
         outcome.ok = true;
         outcome.outcome = classifyRun(outcome.result);
     } catch (const AbortError &) {
@@ -101,6 +99,16 @@ tryRunWorkload(const SystemConfig &cfg, const std::string &name,
         outcome.outcome = OutcomeClass::kViolated;
     }
     return outcome;
+}
+
+RunOutcome
+tryRunWorkload(const SystemConfig &cfg, const std::string &name,
+               bool capture_stats)
+{
+    return trapRun([&](RunOutcome &outcome) {
+        outcome.result = runWorkload(
+            cfg, name, capture_stats ? &outcome.stats : nullptr);
+    });
 }
 
 namespace

@@ -65,12 +65,17 @@ struct RunOutcome
 };
 
 /**
- * runWorkload with the failure path made structural: panic(), fatal(),
- * and any exception thrown while building or running the point are
- * captured into RunOutcome::error instead of propagating (or calling
- * abort()/exit()).  This is what lets a sweep quarantine one broken
- * point and keep the other results.
+ * Run @p body with the failure path made structural: panic(), fatal(),
+ * and any exception it throws are captured into RunOutcome::error
+ * instead of propagating (or calling abort()/exit()).  An AbortError
+ * still propagates: an operator abort is not a point failure.  @p body
+ * fills the outcome's result (and stats); when it returns, the outcome
+ * is marked ok and classified.  This is what lets a sweep quarantine
+ * one broken point and keep the other results.
  */
+RunOutcome trapRun(const std::function<void(RunOutcome &)> &body);
+
+/** runWorkload under trapRun(). */
 RunOutcome tryRunWorkload(const SystemConfig &cfg,
                           const std::string &name,
                           bool capture_stats = false);

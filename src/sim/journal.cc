@@ -321,6 +321,28 @@ SweepJournal::SweepJournal(std::string dir,
     }
 }
 
+std::vector<PointResult>
+SweepJournal::adopt(const SweepJournal *journal,
+                    const std::vector<ExperimentPoint> &points)
+{
+    std::vector<PointResult> results(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const ExperimentPoint &point = points[i];
+        if (journal != nullptr) {
+            const auto it = journal->completed_.find(point.point_id);
+            if (it != journal->completed_.end()) {
+                results[i] = it->second;
+                continue;
+            }
+        }
+        results[i].point_id = point.point_id;
+        results[i].status = PointStatus::kNotRun;
+        results[i].seed = point.cfg.seed;
+        results[i].attempts = 0;
+    }
+    return results;
+}
+
 void
 SweepJournal::record(const PointResult &result)
 {

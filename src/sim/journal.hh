@@ -85,6 +85,17 @@ class SweepJournal
     }
 
     /**
+     * Starting results of a sweep over @p points, indexed like them:
+     * each point finished in @p journal is adopted as recorded; every
+     * other point is a kNotRun placeholder carrying its point_id,
+     * seed = cfg.seed and attempts = 0.  @p journal may be null, and
+     * then every point starts kNotRun.
+     */
+    static std::vector<PointResult> adopt(
+        const SweepJournal *journal,
+        const std::vector<ExperimentPoint> &points);
+
+    /**
      * Record a finished point.  kOk results land in points/ (and are
      * skipped on resume); anything else becomes a quarantine replay
      * artifact (and re-runs on resume).  Atomic and thread-safe.

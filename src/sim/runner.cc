@@ -1,12 +1,11 @@
 /**
  * @file
- * Work-stealing runner implementation.
+ * Runner implementation.
  *
  * Concurrency notes (the TSan preset runs the determinism test against
  * exactly this code):
- *  - Shard deques are each guarded by their own mutex; pops from the
- *    owner take the front, steals take the back, so owner and thief
- *    contend only on the lock, never on an element.
+ *  - Workers claim points with one fetch_add on a shared cursor, so
+ *    each index is handed to exactly one worker and no lock is needed.
  *  - results[] is pre-sized and each slot is written by exactly one
  *    worker before the join; readers only touch it after join(), so
  *    the join is the only synchronization the results need.
@@ -14,13 +13,11 @@
 
 #include "runner.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <deque>
-#include <mutex>
 #include <thread>
-
-#include <atomic>
 
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -31,6 +28,102 @@
 
 namespace mopac
 {
+
+namespace
+{
+
+/**
+ * One attempt at a point on @p cfg (the guarded config, its fault
+ * stream reseeded on retries; @p attempt counts from 1).  Fills
+ * @p outcome, or returns false when the attempt yielded at a
+ * checkpoint instead of reaching a terminal state.
+ */
+using AttemptFn = std::function<bool(const SystemConfig &cfg,
+                                     unsigned attempt,
+                                     RunOutcome &outcome)>;
+
+/**
+ * The guard / retry / classify body behind replay() and
+ * replayCheckpointed().  Applies the point_max_cycles guard, re-runs
+ * a fault-plan point whose attempt classified VIOLATED or HUNG with a
+ * reseeded fault stream (deterministic: attempt n always draws
+ * streamSeed(base, n)), and classifies the last attempt into
+ * @p result.  Returns false when an attempt yielded; @p result then
+ * holds only the point's identity, attempts and wall time.
+ */
+bool
+runAttempts(const ExperimentPoint &point, const RunnerOptions &opts,
+            const AttemptFn &attempt, PointResult &result)
+{
+    const auto start = wallclock::now();
+
+    SystemConfig cfg = point.cfg;
+    if (cfg.max_cycles == 0 && opts.point_max_cycles > 0) {
+        cfg.max_cycles = opts.point_max_cycles;
+    }
+    result.point_id = point.point_id;
+    result.seed = cfg.seed;
+
+    // Fault-free points never loop.
+    const bool faulted_cfg = cfg.faults.enabled();
+    const std::uint64_t base_fault_seed =
+        cfg.faults.seed != 0 ? cfg.faults.seed : cfg.seed;
+
+    RunOutcome outcome;
+    unsigned n = 0;
+    for (;;) {
+        ++n;
+        if (!attempt(cfg, n, outcome)) {
+            result.attempts = n;
+            result.wall_seconds = wallclock::secondsSince(start);
+            return false;
+        }
+        const bool bad = outcome.outcome == OutcomeClass::kViolated ||
+                         outcome.outcome == OutcomeClass::kHung;
+        if (!faulted_cfg || !bad || n > opts.fault_retries) {
+            break;
+        }
+        cfg.faults.seed = Rng::streamSeed(base_fault_seed, n);
+    }
+    result.attempts = n;
+    result.outcome = outcome.outcome;
+    result.wall_seconds = wallclock::secondsSince(start);
+
+    if (!outcome.ok) {
+        result.status =
+            faulted_cfg ? PointStatus::kFaulted : PointStatus::kFailed;
+        result.error = outcome.error;
+        return true;
+    }
+    result.run = std::move(outcome.result);
+    result.stats = std::move(outcome.stats);
+    if (result.run.timed_out) {
+        result.status =
+            faulted_cfg ? PointStatus::kFaulted : PointStatus::kTimedOut;
+        result.error = "hit the max_cycles guard";
+    } else if (faulted_cfg &&
+               outcome.outcome == OutcomeClass::kViolated) {
+        result.status = PointStatus::kFaulted;
+        result.error = format(
+            "security violated under fault plan ({} violations, max "
+            "unmitigated {})",
+            result.run.violations, result.run.max_unmitigated);
+    } else {
+        result.status = PointStatus::kOk;
+    }
+    return true;
+}
+
+std::size_t
+countNotRun(const std::vector<PointResult> &results)
+{
+    return static_cast<std::size_t>(std::count_if(
+        results.begin(), results.end(), [](const PointResult &r) {
+            return r.status == PointStatus::kNotRun;
+        }));
+}
+
+} // namespace
 
 const char *
 toString(PointStatus status)
@@ -94,208 +187,62 @@ Runner::jobs() const
     return hw > 0 ? hw : 1;
 }
 
-PointResult
-Runner::executePoint(const ExperimentPoint &point) const
+std::size_t
+Runner::sweep(const std::vector<ExperimentPoint> &points,
+              std::vector<PointResult> &results, SweepJournal *journal,
+              const ProgressFn &progress) const
 {
-    const auto start = wallclock::now();
-
-    ExperimentPoint guarded = point;
-    if (guarded.cfg.max_cycles == 0 && opts_.point_max_cycles > 0) {
-        guarded.cfg.max_cycles = opts_.point_max_cycles;
-    }
-
-    PointResult result;
-    result.point_id = point.point_id;
-    result.seed = guarded.cfg.seed;
-
-    // Fault-plan points: a VIOLATED / HUNG attempt may be retried with
-    // a reseeded fault stream (deterministic: attempt n always draws
-    // streamSeed(base, n)).  Fault-free points never loop.
-    const bool faulted_cfg = guarded.cfg.faults.enabled();
-    const std::uint64_t base_fault_seed =
-        guarded.cfg.faults.seed != 0 ? guarded.cfg.faults.seed
-                                     : guarded.cfg.seed;
-
-    RunOutcome outcome;
-    unsigned attempt = 0;
-    for (;;) {
-        ++attempt;
-        outcome = tryRunWorkload(guarded.cfg, guarded.workload,
-                                 /*capture_stats=*/true);
-        const bool bad = outcome.outcome == OutcomeClass::kViolated ||
-                         outcome.outcome == OutcomeClass::kHung;
-        if (!faulted_cfg || !bad || attempt > opts_.fault_retries) {
-            break;
+    std::vector<std::size_t> todo;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (results[i].status == PointStatus::kNotRun) {
+            todo.push_back(i);
         }
-        guarded.cfg.faults.seed =
-            Rng::streamSeed(base_fault_seed, attempt);
     }
-    result.attempts = attempt;
-    result.outcome = outcome.outcome;
-    result.wall_seconds = wallclock::secondsSince(start);
-
-    if (!outcome.ok) {
-        result.status =
-            faulted_cfg ? PointStatus::kFaulted : PointStatus::kFailed;
-        result.error = outcome.error;
-        return result;
-    }
-    result.run = std::move(outcome.result);
-    result.stats = std::move(outcome.stats);
-    if (result.run.timed_out) {
-        result.status =
-            faulted_cfg ? PointStatus::kFaulted : PointStatus::kTimedOut;
-        result.error = "hit the max_cycles guard";
-    } else if (faulted_cfg &&
-               outcome.outcome == OutcomeClass::kViolated) {
-        result.status = PointStatus::kFaulted;
-        result.error = format(
-            "security violated under fault plan ({} violations, max "
-            "unmitigated {})",
-            result.run.violations, result.run.max_unmitigated);
-    } else if (opts_.point_timeout_sec > 0.0 &&
-               result.wall_seconds > opts_.point_timeout_sec) {
-        result.status = PointStatus::kTimedOut;
-        result.error = format("exceeded the {:.1f}s wall-clock budget",
-                              opts_.point_timeout_sec);
-    } else {
-        result.status = PointStatus::kOk;
-    }
-    return result;
-}
-
-std::vector<PointResult>
-Runner::run(const std::vector<ExperimentPoint> &points,
-            const ProgressFn &progress) const
-{
-    std::vector<PointResult> results(points.size());
-    if (points.empty()) {
-        return results;
+    if (todo.empty()) {
+        return 0;
     }
 
-    const unsigned num_workers = static_cast<unsigned>(
-        std::min<std::size_t>(jobs(), points.size()));
-
-    // Worker-local shards; stealing keeps the tail balanced.
-    struct Shard
-    {
-        std::mutex mutex;
-        std::deque<std::size_t> queue;
-    };
-    std::vector<Shard> shards(num_workers);
-    const auto assignment =
-        shardRoundRobin(points.size(), num_workers);
-    for (unsigned s = 0; s < num_workers; ++s) {
-        shards[s].queue.assign(assignment[s].begin(),
-                               assignment[s].end());
-    }
-
-    auto worker = [&](unsigned self) {
-        for (;;) {
-            std::size_t idx = 0;
-            bool found = false;
-            {
-                // Own shard first, front pop (sweep order).
-                Shard &mine = shards[self];
-                std::lock_guard<std::mutex> lock(mine.mutex);
-                if (!mine.queue.empty()) {
-                    idx = mine.queue.front();
-                    mine.queue.pop_front();
-                    found = true;
-                }
+    std::atomic<std::size_t> cursor{0};
+    std::atomic<std::size_t> executed{0};
+    auto worker = [&] {
+        // Stop boundary (journaled sweeps): take no new work after a
+        // graceful stop -- unfinished points stay kNotRun and re-run
+        // on resume.
+        while (journal == nullptr || !sweepstop::stopRequested()) {
+            const std::size_t next = cursor.fetch_add(1);
+            if (next >= todo.size()) {
+                return;
             }
-            if (!found) {
-                // Steal from the back of the fullest other shard.
-                unsigned victim = num_workers;
-                std::size_t victim_size = 0;
-                for (unsigned v = 0; v < num_workers; ++v) {
-                    if (v == self) {
-                        continue;
-                    }
-                    std::lock_guard<std::mutex> lock(shards[v].mutex);
-                    if (shards[v].queue.size() > victim_size) {
-                        victim_size = shards[v].queue.size();
-                        victim = v;
-                    }
-                }
-                if (victim < num_workers) {
-                    Shard &target = shards[victim];
-                    std::lock_guard<std::mutex> lock(target.mutex);
-                    if (!target.queue.empty()) {
-                        idx = target.queue.back();
-                        target.queue.pop_back();
-                        found = true;
-                    }
-                }
+            const std::size_t idx = todo[next];
+            try {
+                results[idx] = replay(points[idx], opts_);
+            } catch (const AbortError &e) {
+                // Abandoned mid-run by the operator / drain watchdog:
+                // leave the point kNotRun and un-journaled so resume
+                // re-runs it cleanly.
+                results[idx].error = e.what();
+                warn("sweep: point {} abandoned: {}",
+                     points[idx].point_id, e.what());
+                return;
             }
-            if (!found) {
-                return; // Every shard drained.
+            if (journal != nullptr) {
+                journal->record(results[idx]);
             }
-            results[idx] = executePoint(points[idx]);
+            executed.fetch_add(1);
             if (progress) {
                 progress(points[idx], results[idx]);
             }
         }
     };
 
-    if (num_workers == 1) {
-        // --jobs 1: run inline, no thread at all (simplest replay /
-        // debugging environment, and the determinism reference).
-        worker(0);
-        return results;
-    }
-
-    std::vector<std::thread> threads;
-    threads.reserve(num_workers);
-    for (unsigned w = 0; w < num_workers; ++w) {
-        threads.emplace_back(worker, w);
-    }
-    for (std::thread &t : threads) {
-        t.join();
-    }
-    return results;
-}
-
-JournaledSweepResult
-Runner::runJournaled(const std::vector<ExperimentPoint> &points,
-                     const std::string &journal_dir,
-                     const ProgressFn &progress) const
-{
-    JournaledSweepResult sweep;
-    sweep.results.resize(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        sweep.results[i].point_id = points[i].point_id;
-        sweep.results[i].status = PointStatus::kNotRun;
-    }
-    if (points.empty()) {
-        return sweep;
-    }
-
-    // Throws SerializeError if the journal belongs to a different
-    // sweep or holds a torn / corrupt record.
-    SweepJournal journal(journal_dir, points);
-
-    // Adopt finished points from the journal; queue the rest.
-    std::vector<std::size_t> pending;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const auto it = journal.completed().find(points[i].point_id);
-        if (it != journal.completed().end()) {
-            sweep.results[i] = it->second;
-            ++sweep.reused;
-        } else {
-            pending.push_back(i);
-        }
-    }
-
-    std::atomic<std::size_t> executed{0};
+    // Drain watchdog (journaled sweeps): once a graceful stop is
+    // requested, give in-flight points a bounded window, then escalate
+    // to a hard abort -- the run loops notice at their next poll and
+    // unwind with a command-tail diagnostic instead of wedging the
+    // exit.
     std::atomic<bool> workers_done{false};
-
-    // Drain watchdog: once a graceful stop is requested, give
-    // in-flight points a bounded window, then escalate to a hard abort
-    // -- the run loops notice at their next poll and unwind with a
-    // command-tail diagnostic instead of wedging the exit.
     std::thread drain_monitor;
-    if (opts_.drain_deadline_sec > 0.0) {
+    if (journal != nullptr && opts_.drain_deadline_sec > 0.0) {
         drain_monitor = std::thread([this, &workers_done] {
             const auto tick = std::chrono::milliseconds(20);
             while (!workers_done.load() && !sweepstop::stopRequested()) {
@@ -316,100 +263,21 @@ Runner::runJournaled(const std::vector<ExperimentPoint> &points,
         });
     }
 
-    if (!pending.empty()) {
-        const unsigned num_workers = static_cast<unsigned>(
-            std::min<std::size_t>(jobs(), pending.size()));
-
-        struct Shard
-        {
-            std::mutex mutex;
-            std::deque<std::size_t> queue;
-        };
-        std::vector<Shard> shards(num_workers);
-        const auto assignment =
-            shardRoundRobin(pending.size(), num_workers);
-        for (unsigned s = 0; s < num_workers; ++s) {
-            for (std::size_t slot : assignment[s]) {
-                shards[s].queue.push_back(pending[slot]);
-            }
+    const unsigned num_workers = static_cast<unsigned>(
+        std::min<std::size_t>(jobs(), todo.size()));
+    if (num_workers == 1) {
+        // --jobs 1: run inline, no worker thread at all (simplest
+        // replay / debugging environment, and the determinism
+        // reference).
+        worker();
+    } else {
+        std::vector<std::thread> threads;
+        threads.reserve(num_workers);
+        for (unsigned w = 0; w < num_workers; ++w) {
+            threads.emplace_back(worker);
         }
-
-        auto worker = [&](unsigned self) {
-            for (;;) {
-                // Stop boundary: take no new work after a graceful
-                // stop -- unfinished points stay kNotRun and re-run
-                // on resume.
-                if (sweepstop::stopRequested()) {
-                    return;
-                }
-                std::size_t idx = 0;
-                bool found = false;
-                {
-                    Shard &mine = shards[self];
-                    std::lock_guard<std::mutex> lock(mine.mutex);
-                    if (!mine.queue.empty()) {
-                        idx = mine.queue.front();
-                        mine.queue.pop_front();
-                        found = true;
-                    }
-                }
-                if (!found) {
-                    unsigned victim = num_workers;
-                    std::size_t victim_size = 0;
-                    for (unsigned v = 0; v < num_workers; ++v) {
-                        if (v == self) {
-                            continue;
-                        }
-                        std::lock_guard<std::mutex> lock(
-                            shards[v].mutex);
-                        if (shards[v].queue.size() > victim_size) {
-                            victim_size = shards[v].queue.size();
-                            victim = v;
-                        }
-                    }
-                    if (victim < num_workers) {
-                        Shard &target = shards[victim];
-                        std::lock_guard<std::mutex> lock(target.mutex);
-                        if (!target.queue.empty()) {
-                            idx = target.queue.back();
-                            target.queue.pop_back();
-                            found = true;
-                        }
-                    }
-                }
-                if (!found) {
-                    return;
-                }
-                try {
-                    sweep.results[idx] = executePoint(points[idx]);
-                } catch (const AbortError &e) {
-                    // Abandoned mid-run by the operator / drain
-                    // watchdog: leave the point kNotRun and
-                    // un-journaled so resume re-runs it cleanly.
-                    sweep.results[idx].error = e.what();
-                    warn("sweep: point {} abandoned: {}",
-                         points[idx].point_id, e.what());
-                    return;
-                }
-                journal.record(sweep.results[idx]);
-                executed.fetch_add(1);
-                if (progress) {
-                    progress(points[idx], sweep.results[idx]);
-                }
-            }
-        };
-
-        if (num_workers == 1) {
-            worker(0);
-        } else {
-            std::vector<std::thread> threads;
-            threads.reserve(num_workers);
-            for (unsigned w = 0; w < num_workers; ++w) {
-                threads.emplace_back(worker, w);
-            }
-            for (std::thread &t : threads) {
-                t.join();
-            }
+        for (std::thread &t : threads) {
+            t.join();
         }
     }
 
@@ -417,22 +285,51 @@ Runner::runJournaled(const std::vector<ExperimentPoint> &points,
     if (drain_monitor.joinable()) {
         drain_monitor.join();
     }
+    return executed.load();
+}
 
-    sweep.executed = executed.load();
-    for (const PointResult &result : sweep.results) {
-        if (result.status == PointStatus::kNotRun) {
-            ++sweep.pending;
-        }
+std::vector<PointResult>
+Runner::run(const std::vector<ExperimentPoint> &points,
+            const ProgressFn &progress) const
+{
+    std::vector<PointResult> results =
+        SweepJournal::adopt(nullptr, points);
+    sweep(points, results, nullptr, progress);
+    return results;
+}
+
+JournaledSweepResult
+Runner::runJournaled(const std::vector<ExperimentPoint> &points,
+                     const std::string &journal_dir,
+                     const ProgressFn &progress) const
+{
+    JournaledSweepResult out;
+    if (points.empty()) {
+        return out;
     }
-    return sweep;
+    // Throws SerializeError if the journal belongs to a different
+    // sweep or its manifest is corrupt.
+    SweepJournal journal(journal_dir, points);
+    out.results = SweepJournal::adopt(&journal, points);
+    out.reused = points.size() - countNotRun(out.results);
+    out.executed = sweep(points, out.results, &journal, progress);
+    out.pending = countNotRun(out.results);
+    return out;
 }
 
 PointResult
 Runner::replay(const ExperimentPoint &point, const RunnerOptions &opts)
 {
-    RunnerOptions single = opts;
-    single.jobs = 1;
-    return Runner(single).executePoint(point);
+    PointResult result;
+    runAttempts(
+        point, opts,
+        [&point](const SystemConfig &cfg, unsigned, RunOutcome &outcome) {
+            outcome = tryRunWorkload(cfg, point.workload,
+                                     /*capture_stats=*/true);
+            return true;
+        },
+        result);
+    return result;
 }
 
 CheckpointedPointRun
@@ -440,119 +337,37 @@ Runner::replayCheckpointed(const ExperimentPoint &point,
                            const RunnerOptions &opts,
                            const CheckpointOptions &ckpt)
 {
-    const auto start = wallclock::now();
-
-    ExperimentPoint guarded = point;
-    if (guarded.cfg.max_cycles == 0 && opts.point_max_cycles > 0) {
-        guarded.cfg.max_cycles = opts.point_max_cycles;
-    }
-
-    CheckpointedPointRun out;
-    PointResult &result = out.result;
-    result.point_id = point.point_id;
-    result.seed = guarded.cfg.seed;
-
-    const bool faulted_cfg = guarded.cfg.faults.enabled();
-    const std::uint64_t base_fault_seed =
-        guarded.cfg.faults.seed != 0 ? guarded.cfg.faults.seed
-                                     : guarded.cfg.seed;
-
     CheckpointOptions run_ckpt = ckpt;
     if (!run_ckpt.restore_path.empty() &&
         !fileExists(run_ckpt.restore_path)) {
         run_ckpt.restore_path.clear();
     }
 
-    RunOutcome outcome;
-    CheckpointedRun chk;
-    unsigned attempt = 0;
-    for (;;) {
-        ++attempt;
-        outcome = RunOutcome{};
-        chk = CheckpointedRun{};
-        {
-            const ErrorTrap trap;
-            try {
-                chk = runWorkloadCheckpointed(guarded.cfg,
-                                              guarded.workload,
-                                              run_ckpt, &outcome.stats);
-                outcome.ok = true;
-                if (chk.finished) {
-                    outcome.result = chk.result;
-                    outcome.outcome = classifyRun(chk.result);
-                }
-            } catch (const AbortError &) {
-                throw;
-            } catch (const std::exception &e) {
-                outcome.error = e.what();
-                outcome.outcome =
-                    outcome.error.find(kWatchdogMarker) !=
-                            std::string::npos
-                        ? OutcomeClass::kHung
-                        : OutcomeClass::kViolated;
-            } catch (...) {
-                outcome.error = "unknown exception";
-                outcome.outcome = OutcomeClass::kViolated;
+    CheckpointedPointRun out;
+    const auto attempt = [&](const SystemConfig &cfg, unsigned n,
+                             RunOutcome &outcome) {
+        if (n > 1) {
+            // A reseeded fault stream is a different execution: the
+            // old snapshot must not leak into the retry.
+            if (!ckpt.save_path.empty()) {
+                std::remove(ckpt.save_path.c_str());
             }
+            run_ckpt.restore_path.clear();
         }
-        if (outcome.ok && !chk.finished) {
-            // Preempted (or stop-interrupted) at a snapshot-durable
-            // boundary: hand back the resumable state instead of a
-            // terminal classification.
-            out.preempted = true;
-            out.resumed_from = chk.resumed_from;
-            out.executed_cycles = chk.executed_cycles;
-            result.attempts = attempt;
-            result.wall_seconds = wallclock::secondsSince(start);
-            return out;
-        }
-        const bool bad = outcome.outcome == OutcomeClass::kViolated ||
-                         outcome.outcome == OutcomeClass::kHung;
-        if (!faulted_cfg || !bad || attempt > opts.fault_retries) {
-            break;
-        }
-        guarded.cfg.faults.seed =
-            Rng::streamSeed(base_fault_seed, attempt);
-        // A reseeded fault stream is a different execution: the old
-        // snapshot must not leak into the retry.
-        if (!ckpt.save_path.empty()) {
-            std::remove(ckpt.save_path.c_str());
-        }
-        run_ckpt.restore_path.clear();
-    }
-    out.resumed_from = chk.resumed_from;
-    out.executed_cycles = chk.executed_cycles;
-    result.attempts = attempt;
-    result.outcome = outcome.outcome;
-    result.wall_seconds = wallclock::secondsSince(start);
-
-    if (!outcome.ok) {
-        result.status =
-            faulted_cfg ? PointStatus::kFaulted : PointStatus::kFailed;
-        result.error = outcome.error;
-        return out;
-    }
-    result.run = std::move(outcome.result);
-    result.stats = std::move(outcome.stats);
-    if (result.run.timed_out) {
-        result.status =
-            faulted_cfg ? PointStatus::kFaulted : PointStatus::kTimedOut;
-        result.error = "hit the max_cycles guard";
-    } else if (faulted_cfg &&
-               outcome.outcome == OutcomeClass::kViolated) {
-        result.status = PointStatus::kFaulted;
-        result.error = format(
-            "security violated under fault plan ({} violations, max "
-            "unmitigated {})",
-            result.run.violations, result.run.max_unmitigated);
-    } else if (opts.point_timeout_sec > 0.0 &&
-               result.wall_seconds > opts.point_timeout_sec) {
-        result.status = PointStatus::kTimedOut;
-        result.error = format("exceeded the {:.1f}s wall-clock budget",
-                              opts.point_timeout_sec);
-    } else {
-        result.status = PointStatus::kOk;
-    }
+        CheckpointedRun chk;
+        outcome = trapRun([&](RunOutcome &trapped) {
+            chk = runWorkloadCheckpointed(cfg, point.workload, run_ckpt,
+                                          &trapped.stats);
+            trapped.result = chk.result;
+        });
+        out.resumed_from = chk.resumed_from;
+        out.executed_cycles = chk.executed_cycles;
+        // Preempted (or stop-interrupted) at a snapshot-durable
+        // boundary: hand back the resumable state instead of a
+        // terminal classification.
+        return !outcome.ok || chk.finished;
+    };
+    out.preempted = !runAttempts(point, opts, attempt, out.result);
     return out;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Work-stealing parallel experiment runner.
+ * Parallel experiment runner.
  *
  * Every figure/table of the paper sweeps many independent
  * (workload x config) points; the Runner executes them on a
@@ -10,13 +10,13 @@
  *    (Rng::streamSeed over (master_seed, stream id), assigned at sweep
  *    expansion), so results do not depend on thread count or
  *    scheduling order.
- *  - Points are sharded round-robin over worker-local deques; an idle
- *    worker steals from the back of the fullest other shard, so a few
- *    slow points cannot serialize the tail of the sweep.
+ *  - Workers claim points in sweep order from one shared atomic
+ *    cursor: an idle worker always takes the next unclaimed point, so
+ *    a few slow points cannot serialize the tail of the sweep.
  *  - A crashing point (exception, panic(), fatal()) is quarantined:
  *    it reports PointStatus::kFailed with its seed for single-threaded
  *    replay instead of killing the sweep.  A point that hits its cycle
- *    guard or wall-clock budget reports kTimedOut the same way.
+ *    guard reports kTimedOut the same way.
  *  - Per-point StatSnapshots are merged in point-id order after the
  *    workers join, so the final stats table is also schedule
  *    independent and free of data races.
@@ -42,14 +42,6 @@ struct RunnerOptions
 {
     /** Worker threads; 0 selects std::thread::hardware_concurrency. */
     unsigned jobs = 0;
-    /**
-     * Wall-clock budget per point in seconds (0 = none).  The
-     * simulator is single-threadedly cooperative, so the budget is
-     * enforced through the cycle guard below plus post-hoc
-     * classification: a point whose wall time exceeds the budget is
-     * reported as kTimedOut even if it eventually produced a result.
-     */
-    double point_timeout_sec = 0.0;
     /**
      * Cycle guard applied to points whose config leaves max_cycles at
      * 0 (0 = keep the config's own generous automatic bound).  This is
@@ -89,8 +81,8 @@ enum class PointStatus
     kFaulted,
     /**
      * The point was not executed: a journaled sweep was interrupted
-     * before reaching it (or its in-flight execution was aborted).
-     * Resuming the sweep runs it.
+     * before reaching it, or a hard abort abandoned its in-flight
+     * execution.  Resuming a journaled sweep runs it.
      */
     kNotRun,
 };
@@ -180,7 +172,9 @@ class Runner
     /**
      * Execute every point and return results indexed like @p points.
      * @p progress (optional) is invoked once per finished point; it
-     * must be thread-safe, as workers call it concurrently.
+     * must be thread-safe, as workers call it concurrently.  A hard
+     * abort (sweepstop) leaves the abandoned and unstarted points
+     * kNotRun.
      */
     std::vector<PointResult> run(
         const std::vector<ExperimentPoint> &points,
@@ -203,8 +197,11 @@ class Runner
         const ProgressFn &progress = nullptr) const;
 
     /**
-     * Re-run one point on the calling thread with stats captured --
-     * the `--replay point_id` debugging path.
+     * Run one point on the calling thread with stats captured -- the
+     * `--replay point_id` debugging path and the per-point body of
+     * every sweep.  Runs to completion through System::run(), so a
+     * graceful stop request lets it finish; only a hard abort cuts it
+     * short, by throwing AbortError.
      */
     static PointResult replay(const ExperimentPoint &point,
                               const RunnerOptions &opts = {});
@@ -236,7 +233,17 @@ class Runner
     unsigned jobs() const;
 
   private:
-    PointResult executePoint(const ExperimentPoint &point) const;
+    /**
+     * The sweep loop behind run() and runJournaled(): workers claim
+     * every kNotRun entry of @p results from a shared cursor and run
+     * it through replay().  With a @p journal, each finished point is
+     * recorded and a graceful stop ends the sweep at the next point
+     * boundary.  Returns the number of points executed.
+     */
+    std::size_t sweep(const std::vector<ExperimentPoint> &points,
+                      std::vector<PointResult> &results,
+                      SweepJournal *journal,
+                      const ProgressFn &progress) const;
 
     RunnerOptions opts_;
 };

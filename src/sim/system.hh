@@ -187,8 +187,8 @@ class System : public RequestSink
      * where the CPU made no progress -- an active CPU would wake at
      * now_ and forbid any skip, so the run loop skips the computation
      * entirely in that case.  A direct min over the handful of
-     * sources; the indexed EventQueue is kept for callers that need
-     * pop/FIFO semantics, but the run loop never pops.
+     * sources, recomputed from component state each time and never
+     * serialized.
      */
     Cycle nextEventCycle(Cycle mc_next) const;
 

@@ -77,11 +77,23 @@ TEST(Binomial, CdfBelowFullRangeIsOne)
  */
 struct Table6Case
 {
+    Table6Case(unsigned ath_, double p_, unsigned c_, double expect_)
+        : ath(ath_), p(p_), c(c_), expect(expect_)
+    {
+    }
+
+    // gtest names each case by dumping the object's raw bytes, so the
+    // alignment gaps are explicit zeroed members: implicit padding
+    // holds whatever was in memory and renamed the cases every build.
     unsigned ath;
+    unsigned pad_after_ath = 0;
     double p;
     unsigned c;
+    unsigned pad_after_c = 0;
     double expect;
 };
+static_assert(sizeof(Table6Case) == 32,
+              "layout (and so the test names) must stay 32 bytes");
 
 class Table6 : public ::testing::TestWithParam<Table6Case>
 {

@@ -123,8 +123,8 @@ TEST(RngStreams, MappingIsFrozen)
 TEST(RngStreams, OrderIndependence)
 {
     // Unlike fork(), stream seeds do not depend on how many streams
-    // were split before -- the property that makes work-stealing
-    // schedules deterministic.
+    // were split before -- the property that makes any parallel
+    // schedule deterministic.
     constexpr std::uint64_t kMaster = 5;
     const auto a = Rng::streamSeed(kMaster, 17);
     for (std::uint64_t other = 0; other < 17; ++other) {

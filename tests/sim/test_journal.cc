@@ -2,9 +2,10 @@
  * @file
  * Sweep-journal tests: resume skips finished points, merged stats are
  * bit-identical to an uninterrupted run at any jobs count, a
- * mismatched or corrupt MANIFEST is a structured fatal error, and
+ * mismatched or corrupt MANIFEST is a structured fatal error,
  * record-level damage (bit flips, torn tails at any truncation
- * offset) heals to "re-run that point" with identical final results.
+ * offset) heals to "re-run that point" with identical final results,
+ * and a hard abort mid-sweep leaves only finished points journaled.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 
 #include <dirent.h>
 
+#include "common/rng.hh"
 #include "common/serialize.hh"
 #include "sim/journal.hh"
 #include "sim/runner.hh"
@@ -83,6 +85,82 @@ expectSameStats(const StatSnapshot &a, const StatSnapshot &b)
     a.dump(sa);
     b.dump(sb);
     EXPECT_EQ(sa.str(), sb.str());
+}
+
+/** Master seed of the abort sweep's per-point streams. */
+constexpr std::uint64_t kAbortSweepSeed = 0xab0127;
+
+/** Journal record image of @p result with its wall time zeroed. */
+std::vector<std::uint8_t>
+recordImage(PointResult result)
+{
+    result.wall_seconds = 0.0;
+    Serializer ser;
+    savePointResult(ser, result);
+    return ser.finish(FileKind::kPointRecord, 0);
+}
+
+/**
+ * Hard-abort a journaled sweep from the progress callback of its
+ * first finished point, then resume it.  Every point of the cut sweep
+ * must be either OK and byte-equal to an uninterrupted run, or
+ * NOT-RUN with no record on disk; the resume must converge on the
+ * uninterrupted results.
+ */
+void
+abortMidSweepThenResume(unsigned jobs)
+{
+    sweepstop::reset();
+    auto points = samplePoints();
+    for (ExperimentPoint &p : points) {
+        p.cfg.seed = Rng::streamSeed(kAbortSweepSeed, p.point_id);
+    }
+    RunnerOptions ref_opts;
+    ref_opts.jobs = 1;
+    const std::vector<PointResult> reference =
+        Runner(ref_opts).run(points);
+
+    const std::string dir = freshDir("abort" + std::to_string(jobs));
+    RunnerOptions opts;
+    opts.jobs = jobs;
+    const JournaledSweepResult cut = Runner(opts).runJournaled(
+        points, dir, [](const ExperimentPoint &, const PointResult &) {
+            sweepstop::requestAbort();
+        });
+    sweepstop::reset();
+
+    std::size_t ok = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const PointResult &r = cut.results[i];
+        const std::string rec = std::to_string(points[i].point_id) + ".rec";
+        if (r.status == PointStatus::kOk) {
+            ++ok;
+            EXPECT_EQ(recordImage(r), recordImage(reference[i])) << i;
+            EXPECT_TRUE(fileExists(dir + "/points/" + rec)) << i;
+        } else {
+            EXPECT_EQ(r.status, PointStatus::kNotRun) << i;
+            EXPECT_FALSE(fileExists(dir + "/points/" + rec)) << i;
+            EXPECT_FALSE(fileExists(dir + "/quarantine/" + rec)) << i;
+        }
+    }
+    EXPECT_GE(ok, 1u);
+    EXPECT_FALSE(cut.complete());
+    EXPECT_EQ(cut.executed, ok);
+    EXPECT_EQ(cut.pending, points.size() - ok);
+
+    const JournaledSweepResult resumed =
+        Runner(opts).runJournaled(points, dir);
+    sweepstop::reset();
+    EXPECT_TRUE(resumed.complete());
+    EXPECT_EQ(resumed.reused, ok);
+    EXPECT_EQ(resumed.executed, points.size() - ok);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(recordImage(resumed.results[i]),
+                  recordImage(reference[i]))
+            << i;
+    }
+    expectSameStats(Runner::mergeStats(reference),
+                    Runner::mergeStats(resumed.results));
 }
 
 TEST(Journal, PointResultRoundTripsThroughTheContainer)
@@ -188,6 +266,16 @@ TEST(Journal, InterruptedSweepResumesToIdenticalMergedStats)
             << i;
         EXPECT_EQ(full.results[i].run.acts, plain[i].run.acts) << i;
     }
+}
+
+TEST(Journal, AbortMidSweepJournalsOnlyFinishedPointsAtOneJob)
+{
+    abortMidSweepThenResume(1);
+}
+
+TEST(Journal, AbortMidSweepJournalsOnlyFinishedPointsAtThreeJobs)
+{
+    abortMidSweepThenResume(3);
 }
 
 TEST(Journal, RejectsAJournalFromADifferentSweep)

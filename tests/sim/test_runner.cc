@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for sweep expansion, shard assignment, and the runner's
- * failure paths (quarantine, timeout, replay).  The heavyweight
+ * Unit tests for sweep expansion and the runner's failure paths
+ * (quarantine, timeout, replay).  The heavyweight
  * jobs-1-vs-jobs-N determinism sweep lives in tests/regression.
  */
 
@@ -101,39 +101,6 @@ TEST(Sharding, ConfigSignatureSeparatesMeaningfulFields)
     b = a;
     b.geometry.chips = 16;
     EXPECT_NE(configSignature(a), configSignature(b));
-}
-
-TEST(Sharding, RoundRobinCoversEveryPointExactlyOnce)
-{
-    for (unsigned shards : {1u, 3u, 8u}) {
-        const auto assignment = shardRoundRobin(10, shards);
-        ASSERT_EQ(assignment.size(), shards);
-        std::set<std::size_t> seen;
-        for (const auto &shard : assignment) {
-            for (std::size_t idx : shard) {
-                EXPECT_TRUE(seen.insert(idx).second);
-            }
-        }
-        EXPECT_EQ(seen.size(), 10u);
-        // Round-robin: shard sizes differ by at most one.
-        std::size_t lo = ~0ull, hi = 0;
-        for (const auto &shard : assignment) {
-            lo = std::min(lo, shard.size());
-            hi = std::max(hi, shard.size());
-        }
-        EXPECT_LE(hi - lo, 1u);
-    }
-}
-
-TEST(Sharding, MoreShardsThanPointsLeavesEmptyShards)
-{
-    const auto assignment = shardRoundRobin(2, 8);
-    ASSERT_EQ(assignment.size(), 8u);
-    EXPECT_EQ(assignment[0].size(), 1u);
-    EXPECT_EQ(assignment[1].size(), 1u);
-    for (unsigned s = 2; s < 8; ++s) {
-        EXPECT_TRUE(assignment[s].empty());
-    }
 }
 
 TEST(Runner, QuarantinesFailingPointWithoutKillingSweep)
