@@ -162,16 +162,22 @@ Serializer::putStr(const std::string &s)
 }
 
 void
+Serializer::putVecLength(std::uint64_t n)
+{
+    putU64(n);
+}
+
+void
 Serializer::putVecU8(const std::vector<std::uint8_t> &v)
 {
-    putU64(v.size());
+    putVecLength(v.size());
     buf_.insert(buf_.end(), v.begin(), v.end());
 }
 
 void
 Serializer::putVecU32(const std::vector<std::uint32_t> &v)
 {
-    putU64(v.size());
+    putVecLength(v.size());
     for (const std::uint32_t x : v) {
         putU32(x);
     }
@@ -180,7 +186,7 @@ Serializer::putVecU32(const std::vector<std::uint32_t> &v)
 void
 Serializer::putVecU64(const std::vector<std::uint64_t> &v)
 {
-    putU64(v.size());
+    putVecLength(v.size());
     for (const std::uint64_t x : v) {
         putU64(x);
     }
@@ -367,14 +373,21 @@ Deserializer::getStr()
     return s;
 }
 
+std::uint64_t
+Deserializer::getVecLength(std::size_t elem_bytes)
+{
+    const std::uint64_t n = getU64();
+    if (n > image_.size() / elem_bytes) { // Overflow-safe before need().
+        corrupt(format("vector length {} exceeds file size", n));
+    }
+    need(n * elem_bytes);
+    return n;
+}
+
 std::vector<std::uint8_t>
 Deserializer::getVecU8()
 {
-    const std::uint64_t n = getU64();
-    if (n > image_.size()) {
-        corrupt(format("vector length {} exceeds file size", n));
-    }
-    need(n);
+    const std::uint64_t n = getVecLength(1);
     std::vector<std::uint8_t> v(image_.begin() + pos_,
                                 image_.begin() + pos_ + n);
     pos_ += n;
@@ -384,11 +397,7 @@ Deserializer::getVecU8()
 std::vector<std::uint32_t>
 Deserializer::getVecU32()
 {
-    const std::uint64_t n = getU64();
-    if (n > image_.size() / 4) { // Overflow-safe bound before need().
-        corrupt(format("vector length {} exceeds file size", n));
-    }
-    need(n * 4);
+    const std::uint64_t n = getVecLength(4);
     std::vector<std::uint32_t> v;
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -400,11 +409,7 @@ Deserializer::getVecU32()
 std::vector<std::uint64_t>
 Deserializer::getVecU64()
 {
-    const std::uint64_t n = getU64();
-    if (n > image_.size() / 8) {
-        corrupt(format("vector length {} exceeds file size", n));
-    }
-    need(n * 8);
+    const std::uint64_t n = getVecLength(8);
     std::vector<std::uint64_t> v;
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {

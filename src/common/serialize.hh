@@ -102,6 +102,13 @@ class Serializer
     void putVecU64(const std::vector<std::uint64_t> &v);
 
     /**
+     * Length prefix of a putVec* array.  Followed by @p n put calls
+     * of the element width, it writes the same bytes as putVec* from
+     * a source that is not a std::vector (streamed tables).
+     */
+    void putVecLength(std::uint64_t n);
+
+    /**
      * Seal the payload into a full container image (header + payload
      * + CRC trailer).  All sections must be closed.
      */
@@ -158,6 +165,13 @@ class Deserializer
     std::vector<std::uint8_t> getVecU8();
     std::vector<std::uint32_t> getVecU32();
     std::vector<std::uint64_t> getVecU64();
+
+    /**
+     * Read a putVec* length prefix for elements of @p elem_bytes and
+     * check, overflow-safely, that all of them are in the payload, so
+     * the element reads that follow cannot fail part-way.
+     */
+    std::uint64_t getVecLength(std::size_t elem_bytes);
 
     /** Throws unless every payload byte has been consumed. */
     void finish() const;

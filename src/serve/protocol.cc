@@ -327,6 +327,7 @@ saveAssignment(Serializer &ser, const Assignment &assignment)
     ser.begin(kTagAssign);
     ser.putU32(assignment.attempt);
     ser.putStr(assignment.ckpt_path);
+    ser.putU32(assignment.raise_signal);
     ser.end();
     saveJobOptions(ser, assignment.opts);
     savePoint(ser, assignment.point);
@@ -339,6 +340,7 @@ loadAssignment(Deserializer &des)
     des.begin(kTagAssign);
     assignment.attempt = des.getU32();
     assignment.ckpt_path = des.getStr();
+    assignment.raise_signal = des.getU32();
     des.end();
     assignment.opts = loadJobOptions(des);
     assignment.point = loadPoint(des);

@@ -155,6 +155,14 @@ struct Assignment
     std::string ckpt_path;
     /** The point to execute. */
     ExperimentPoint point;
+    /**
+     * Injected failure: 0 (none), SIGKILL or SIGSTOP, which the
+     * worker raises on itself right after sending kPointStart.
+     * Raised by the worker rather than signalled by the supervisor
+     * on receipt of kPointStart, so a point that finishes quickly
+     * cannot escape its scripted failure.
+     */
+    std::uint32_t raise_signal = 0;
 };
 
 /**

@@ -315,33 +315,36 @@ Supervisor::onWorkerDeath(Slot &slot, bool hang)
     }
 }
 
-void
-Supervisor::applyChaos(Slot &slot)
+std::uint32_t
+Supervisor::failureSignal(std::uint64_t point_id,
+                          std::uint32_t attempt) const
 {
-    const std::uint64_t point_id = (*points_)[slot.index].point_id;
-    const auto it =
-        fail_schedule_.find({point_id, slot.attempt});
+    const auto it = fail_schedule_.find({point_id, attempt});
     if (it != fail_schedule_.end()) {
         // Checkpoint-phase actions fire from the rendezvous handler,
         // not at point start.
-        if (it->second == FailAction::kKillWorker) {
-            killWorker(slot);
-        } else if (it->second == FailAction::kStopWorker) {
-            ::kill(slot.pid, SIGSTOP);
+        switch (it->second) {
+          case FailAction::kKillWorker:
+            return SIGKILL;
+          case FailAction::kStopWorker:
+            return SIGSTOP;
+          default:
+            return 0;
         }
-        return;
     }
     if (opts_.chaos_kill_rate <= 0.0 && opts_.chaos_stop_rate <= 0.0) {
-        return;
+        return 0;
     }
-    Rng rng = Rng::forStream(
-        Rng::streamSeed(opts_.chaos_seed, point_id), slot.attempt);
+    Rng rng = Rng::forStream(Rng::streamSeed(opts_.chaos_seed, point_id),
+                             attempt);
     const double u = rng.uniform();
     if (u < opts_.chaos_kill_rate) {
-        killWorker(slot);
-    } else if (u < opts_.chaos_kill_rate + opts_.chaos_stop_rate) {
-        ::kill(slot.pid, SIGSTOP);
+        return SIGKILL;
     }
+    if (u < opts_.chaos_kill_rate + opts_.chaos_stop_rate) {
+        return SIGSTOP;
+    }
+    return 0;
 }
 
 void
@@ -368,6 +371,8 @@ Supervisor::assignReady(wallclock::TimePoint now)
         assignment.ckpt_path =
             checkpointPath((*points_)[item.index].point_id);
         assignment.point = (*points_)[item.index];
+        assignment.raise_signal =
+            failureSignal(assignment.point.point_id, item.attempt);
         Serializer ser;
         saveAssignment(ser, assignment);
         bool sent = false;
@@ -428,7 +433,6 @@ Supervisor::handleMessage(Slot &slot)
             }
             // The hang clock starts when simulation actually starts.
             slot.busy_since = now;
-            applyChaos(slot);
             break;
           }
           case MsgType::kPointDone: {

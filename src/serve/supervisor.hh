@@ -55,8 +55,8 @@ namespace mopac::serve
 /** Injected failure action for deterministic supervision tests. */
 enum class FailAction : std::uint8_t
 {
-    kKillWorker, //!< SIGKILL the worker when this attempt starts.
-    kStopWorker, //!< SIGSTOP it (watchdog must hang-kill it).
+    kKillWorker, //!< The worker SIGKILLs itself as the attempt starts.
+    kStopWorker, //!< It SIGSTOPs itself (the watchdog must kill it).
     /**
      * Reply kPreempt at the attempt's first checkpoint rendezvous:
      * the worker yields the point at a snapshot-durable boundary and
@@ -250,7 +250,8 @@ class Supervisor
     void handleMessage(Slot &slot);
     std::string checkpointPath(std::uint64_t point_id) const;
     void dropCheckpoint(std::uint64_t point_id) const;
-    void applyChaos(Slot &slot);
+    std::uint32_t failureSignal(std::uint64_t point_id,
+                                std::uint32_t attempt) const;
     void onWorkerDeath(Slot &slot, bool hang);
     void journalRecord(const PointResult &result);
     void resolveFresh(std::size_t index, const PointResult &result);

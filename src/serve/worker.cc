@@ -5,6 +5,8 @@
 
 #include "worker.hh"
 
+#include <csignal>
+
 #include "common/log.hh"
 #include "serve/protocol.hh"
 #include "sim/journal.hh"
@@ -29,6 +31,9 @@ runAssignment(int fd, const Assignment &assignment)
     if (sendMessage(fd, start, MsgType::kPointStart, 10.0) !=
         IoStatus::kOk) {
         return false;
+    }
+    if (assignment.raise_signal != 0) {
+        ::raise(static_cast<int>(assignment.raise_signal));
     }
 
     RunnerOptions opts;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/serialize.hh"
 #include "dram/prac.hh"
 
 namespace mopac
@@ -88,6 +89,28 @@ TEST(PracCounters, StorageBytesReflectsDimensions)
 {
     PracCounters prac(4, 256, 2);
     EXPECT_EQ(prac.storageBytes(), 4ull * 256 * 2 * sizeof(std::uint32_t));
+}
+
+TEST(PracCounters, SnapshotIsChipMajorByteForByte)
+{
+    // The in-memory layout is chip-minor; the stream must not be.
+    constexpr unsigned kBanks = 4;
+    constexpr std::uint32_t kRows = 64;
+    PracCounters prac(kBanks, kRows, 4);
+    prac.add(1, 0, 0, 77);
+    Serializer ser;
+    prac.saveState(ser);
+    Deserializer des(ser.finish(FileKind::kSnapshot, 1),
+                     FileKind::kSnapshot, 1);
+    EXPECT_EQ(des.getU32(), kBanks);
+    EXPECT_EQ(des.getU32(), kRows);
+    EXPECT_EQ(des.getU32(), 4u);
+    const std::vector<std::uint32_t> stream = des.getVecU32();
+    des.finish();
+    ASSERT_EQ(stream.size(), 4u * kBanks * kRows);
+    for (std::size_t k = 0; k < stream.size(); ++k) {
+        EXPECT_EQ(stream[k], k == kBanks * kRows ? 77u : 0u) << k;
+    }
 }
 
 } // namespace

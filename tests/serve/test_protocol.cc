@@ -114,6 +114,7 @@ TEST(ServeProtocol, AssignmentAndEventsRoundTrip)
     assign.opts.point_max_cycles = 1 << 20;
     assign.opts.use_cache = false;
     assign.point = samplePoint(9);
+    assign.raise_signal = 9;
     Serializer ser;
     saveAssignment(ser, assign);
     const auto bytes = ser.finish(FileKind::kServeMessage, 0);
@@ -127,6 +128,7 @@ TEST(ServeProtocol, AssignmentAndEventsRoundTrip)
               assign.opts.point_max_cycles);
     EXPECT_EQ(back.opts.use_cache, assign.opts.use_cache);
     EXPECT_EQ(back.point.point_id, assign.point.point_id);
+    EXPECT_EQ(back.raise_signal, assign.raise_signal);
 
     PointEvent event{77, 3};
     Serializer ser2;

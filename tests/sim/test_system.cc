@@ -4,10 +4,15 @@
  * basic end-to-end workload execution for every mitigation kind.
  */
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include "mc/mapping.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
+#include "workload/synth.hh"
 
 namespace mopac
 {
@@ -22,6 +27,43 @@ quickConfig(MitigationKind kind, std::uint32_t trh = 500)
     cfg.warmup_insts = 2000;
     cfg.num_cores = 4;
     return cfg;
+}
+
+std::uint64_t
+threadMinorFaults()
+{
+    rusage usage{};
+    ::getrusage(RUSAGE_THREAD, &usage);
+    return static_cast<std::uint64_t>(usage.ru_minflt);
+}
+
+TEST(System, ConstructionTouchesAlmostNoPerRowTablePages)
+{
+    // Default geometry, MoPAC-D: every sub-channel holds an oracle
+    // table and a per-chip PRAC table of chips x banks x rows words.
+    const SystemConfig cfg = makeConfig(MitigationKind::kMopacD, 500);
+    const Geometry &geo = cfg.geometry;
+    const std::uint64_t table_pages =
+        2ull * geo.num_subchannels * geo.chips *
+        geo.banks_per_subchannel * geo.rows_per_bank *
+        sizeof(std::uint32_t) /
+        static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+    const AddressMap map(geo);
+    const auto construct = [&] {
+        const auto owned =
+            makeWorkloadTraces("mcf", map, cfg.num_cores, cfg.seed);
+        std::vector<TraceSource *> traces;
+        for (const auto &t : owned) {
+            traces.push_back(t.get());
+        }
+        const System system(cfg, traces);
+    };
+    construct(); // First use faults in code and static data.
+    const std::uint64_t before = threadMinorFaults();
+    construct();
+    const std::uint64_t faults = threadMinorFaults() - before;
+    EXPECT_LT(faults, table_pages / 100)
+        << "of " << table_pages << " table pages";
 }
 
 TEST(System, RunsBaselineWorkloadToCompletion)

@@ -37,3 +37,17 @@ class Leaky
     std::vector<Cycle> log_;
     std::vector<Cycle> scratch_;
 };
+
+// A page-mapped table built or resized per call is an allocation
+// too (RowTable's mmap backing belongs in a constructor).
+#include <sys/mman.h>
+
+// mopac: hot-path
+void *
+remapEveryCall(void *table, std::size_t bytes)
+{
+    void *grown = ::mremap(table, bytes, 2 * bytes, MREMAP_MAYMOVE);
+    ::munmap(grown, 2 * bytes);
+    return ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+}

@@ -200,20 +200,27 @@ TEST(MopacLint, GuardBadFixture)
 
 TEST(MopacLint, HotAllocBadFixture)
 {
-    // Growing-container methods, operator new, and a container local
-    // inside annotated functions; the un-annotated sibling making the
-    // same calls stays silent.
+    // Growing-container methods, operator new, a container local and
+    // page mapping calls inside annotated functions; the un-annotated
+    // sibling making the same calls stays silent.
     const LintResult res = runLint({"bad_hot_path.cc"});
     expectFindings(res, {{16, "hot-alloc"},
                          {17, "hot-alloc"},
                          {18, "hot-alloc"},
                          {28, "hot-alloc"},
-                         {29, "hot-alloc"}});
+                         {29, "hot-alloc"},
+                         {49, "hot-alloc"},
+                         {50, "hot-alloc"},
+                         {51, "hot-alloc"}});
     EXPECT_NE(res.output.find("must not allocate"), std::string::npos)
         << res.output;
     EXPECT_NE(res.output.find("'tick'"), std::string::npos)
         << res.output;
     EXPECT_NE(res.output.find("'drain'"), std::string::npos)
+        << res.output;
+    EXPECT_NE(res.output.find("'mmap' in hot-path function "
+                              "'remapEveryCall'"),
+              std::string::npos)
         << res.output;
 }
 
@@ -348,7 +355,7 @@ TEST(MopacLint, AllBadFixturesTogether)
     // code stays 1 (findings), not 2 (usage/IO error).
     const LintResult res = runLint(allBadFixtures());
     EXPECT_EQ(res.exit_code, 1) << res.output;
-    EXPECT_EQ(res.findings.size(), 30u) << res.output;
+    EXPECT_EQ(res.findings.size(), 33u) << res.output;
     for (const char *check :
          {"det-rand", "det-time", "det-clock", "det-rng",
           "det-ptr-key", "det-unordered", "serial-drift", "rng-seed",

@@ -49,7 +49,8 @@
  *                  `// mopac: hot-path` (the comment, alone on the
  *                  line directly above the function): new/malloc,
  *                  growing container methods (push_back, resize,
- *                  insert, ...), make_unique/make_shared, or a
+ *                  insert, ...), make_unique/make_shared, mmap/
+ *                  munmap/mremap (a RowTable built per call), or a
  *                  std:: container constructed as a local.  Hot
  *                  functions run per simulated cycle or per DRAM
  *                  command; all storage must be preallocated at
@@ -1596,8 +1597,9 @@ struct FunctionDef
 };
 
 const std::set<std::string> kAllocCalls = {
-    "new",         "malloc",      "calloc",    "realloc",
+    "new",         "malloc",      "calloc",      "realloc",
     "strdup",      "make_unique", "make_shared", "to_string",
+    "mmap",        "munmap",      "mremap",
 };
 const std::set<std::string> kAllocMethods = {
     "push_back",     "emplace_back", "push_front",
@@ -1619,7 +1621,7 @@ const std::set<std::string> kContainers = {
  * Heap-allocation evidence inside a token span.  Three shapes:
  *
  *   - keyword/free-function allocators (`new`, malloc family,
- *     make_unique/make_shared, to_string);
+ *     make_unique/make_shared, to_string, mmap/munmap/mremap);
  *   - growing-container method calls (`.push_back(`, `->resize(`,
  *     ...) -- the method-call shape keeps same-named free functions
  *     and members out of scope;
