@@ -20,12 +20,11 @@ SecurityChecker::SecurityChecker(unsigned banks, std::uint32_t rows,
 }
 
 void
-SecurityChecker::bumpChip(unsigned chip, unsigned bank, std::uint32_t row)
+SecurityChecker::bump(std::uint32_t &count)
 {
-    std::uint32_t &c = counts_.at(chip, bank, row);
-    ++c;
-    max_unmitigated_ = std::max(max_unmitigated_, c);
-    if (trh_ > 0 && c > trh_) {
+    ++count;
+    max_unmitigated_ = std::max(max_unmitigated_, count);
+    if (trh_ > 0 && count > trh_) {
         ++violations_;
     }
 }
@@ -71,19 +70,22 @@ SecurityChecker::onVictimRefresh(unsigned chip, unsigned bank,
     const unsigned chip_begin = (chip == kAllChips) ? 0 : chip;
     const unsigned chip_end =
         (chip == kAllChips) ? counts_.chips() : chip + 1;
-    for (unsigned c = chip_begin; c < chip_end; ++c) {
-        // The aggressor's victims are now fresh: its exposure restarts.
-        counts_.at(c, bank, row) = 0;
-        // Blast radius 2: rows r-2, r-1, r+1, r+2 are refreshed.  Per
-        // the threat model, a refresh of a row is an intervening event
-        // for that row, so its own count restarts too -- and the
-        // refresh activates it once, which is its first new act.
-        for (int d : {-2, -1, 1, 2}) {
-            const std::int64_t v = static_cast<std::int64_t>(row) + d;
-            if (v >= 0 &&
-                v < static_cast<std::int64_t>(counts_.rows())) {
-                counts_.at(c, bank, static_cast<std::uint32_t>(v)) = 0;
-                bumpChip(c, bank, static_cast<std::uint32_t>(v));
+    MOPAC_ASSERT(chip_end <= counts_.chips());
+    // The aggressor's victims are now fresh: its exposure restarts.
+    std::uint32_t *aggressor = counts_.chipsOf(bank, row);
+    std::fill(aggressor + chip_begin, aggressor + chip_end, 0u);
+    // Blast radius 2: rows r-2, r-1, r+1, r+2 are refreshed.  Per the
+    // threat model, a refresh of a row is an intervening event for
+    // that row, so its own count restarts too -- and the refresh
+    // activates it once, which is its first new act.
+    for (int d : {-2, -1, 1, 2}) {
+        const std::int64_t v = static_cast<std::int64_t>(row) + d;
+        if (v >= 0 && v < static_cast<std::int64_t>(counts_.rows())) {
+            std::uint32_t *victim =
+                counts_.chipsOf(bank, static_cast<std::uint32_t>(v));
+            for (unsigned c = chip_begin; c < chip_end; ++c) {
+                victim[c] = 0;
+                bump(victim[c]);
             }
         }
     }

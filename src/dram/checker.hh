@@ -113,7 +113,8 @@ class SecurityChecker
     void loadState(Deserializer &des);
 
   private:
-    void bumpChip(unsigned chip, unsigned bank, std::uint32_t row);
+    /** Count one activation of a row on one chip. */
+    void bump(std::uint32_t &count);
     void rollEpoch(Cycle now);
 
     std::uint32_t trh_;

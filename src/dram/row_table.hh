@@ -6,23 +6,32 @@
  * oracle (SecurityChecker) and the engines' PRAC counters
  * (PracCounters) -- are one uint32_t per (chip, bank, row): 8M words
  * at the default 4-chip geometry.  A short simulation writes only a
- * small share of those rows, so the table is backed by a private
- * anonymous mapping instead of a zero-filled vector: the kernel
- * materialises a page only on its first write.  Construction is
- * therefore O(1) host work and a System's resident set grows with the
- * rows it touches, not with the geometry.
+ * small, scattered share of those rows, so the table stores them in
+ * small dense blocks handed out in first-touch order:
  *
- * A bitmap records which 4 KiB granules have been written.  Reads of
- * an unwritten granule return 0 without touching memory, and the
- * first mutable access to a granule stores into it before anything
- * loads from it: a load first would map the shared zero page and the
- * store after it would fault a second time.
+ *  - A block holds kBlockRows consecutive rows of one bank on every
+ *    chip (256 B at 4 chips).  Blocks come from the front of one
+ *    private anonymous mapping, reserved at its worst-case size, by
+ *    bumping a counter; the kernel materialises a page only on its
+ *    first write, so resident memory follows the blocks written, not
+ *    the rows' spread over the geometry.
+ *  - A directory holds one uint32_t per (bank, row / kBlockRows):
+ *    the id of its block, counting from 1, or 0 while the range was
+ *    never written.  It is a zero-on-demand mapping too.
+ *
+ * Construction is therefore O(1) host work.  A bitmap records which
+ * 4 KiB directory pages have been written.  Reads and range clears of
+ * rows under an unwritten page return without touching memory.  The
+ * first write to a directory page or to a fresh block stores into it
+ * before anything loads from it: a load first would map the shared
+ * zero page and the store after it would fault a second time.
  *
  * Layout is chip-minor: the chips() counts of one (bank, row) are
- * adjacent, so a per-ACT update of every chip touches one cache
- * line.  The serialized form is chip-major, the order both arrays
- * were always checkpointed in, so snapshots do not depend on the
- * in-memory layout.
+ * adjacent inside its block, so a per-ACT update of every chip
+ * touches one cache line.  The serialized form is chip-major, the
+ * order both arrays were always checkpointed in, so snapshots do not
+ * depend on the in-memory layout or on the order blocks were handed
+ * out.
  *
  * Every index is bounds-asserted: the table lives outside the
  * allocator, so AddressSanitizer cannot see an overflow inside it.
@@ -47,6 +56,9 @@ class Deserializer;
 class RowTable
 {
   public:
+    /** Consecutive rows of one bank stored together in a block. */
+    static constexpr std::uint32_t kBlockRows = 16;
+
     RowTable(unsigned chips, unsigned banks, std::uint32_t rows);
     ~RowTable();
 
@@ -65,25 +77,26 @@ class RowTable
     std::uint32_t &
     at(unsigned chip, unsigned bank, std::uint32_t row)
     {
-        return *touch(index(chip, bank, row), 1);
+        return touch(slot(chip, bank, row))[offset(chip, row)];
     }
 
     std::uint32_t
     at(unsigned chip, unsigned bank, std::uint32_t row) const
     {
-        return entry(index(chip, bank, row));
+        const std::uint32_t *counts = find(slot(chip, bank, row));
+        return counts != nullptr ? counts[offset(chip, row)] : 0;
     }
 
     /** The chips() adjacent counts of (bank, row), chip 0 first. */
     std::uint32_t *
     chipsOf(unsigned bank, std::uint32_t row)
     {
-        return touch(index(0, bank, row), chips_);
+        return touch(slot(0, bank, row)) + offset(0, row);
     }
 
     /**
      * Zero rows [row_begin, row_end) of @p bank on every chip.
-     * Granules never written are skipped, so a refresh sweep over
+     * Blocks never handed out are skipped, so a refresh sweep over
      * untouched rows touches no memory.
      */
     void clearRows(unsigned bank, std::uint32_t row_begin,
@@ -101,56 +114,82 @@ class RowTable
     void loadState(Deserializer &des);
 
   private:
-    /** Entries per tracked granule (4 KiB). */
-    static constexpr std::size_t kGranule = 1024;
+    /** Directory entries per tracked page (4 KiB). */
+    static constexpr std::size_t kDirPage = 1024;
 
+    /** Directory slot of (bank, row); asserts every index. */
     std::size_t
-    index(unsigned chip, unsigned bank, std::uint32_t row) const
+    slot(unsigned chip, unsigned bank, std::uint32_t row) const
     {
         MOPAC_ASSERT(chip < chips_ && bank < banks_ && row < rows_);
-        return (static_cast<std::size_t>(bank) * rows_ + row) * chips_ +
-               chip;
+        return static_cast<std::size_t>(bank) * bankBlocks() +
+               row / kBlockRows;
     }
 
-    bool
-    written(std::size_t i) const
+    /** Position of (chip, row) inside its block. */
+    std::size_t
+    offset(unsigned chip, std::uint32_t row) const
     {
-        const std::size_t g = i / kGranule;
-        return (written_[g / 64] >> (g % 64)) & 1;
+        return static_cast<std::size_t>(row % kBlockRows) * chips_ + chip;
     }
 
-    std::uint32_t
-    entry(std::size_t i) const
+    /** Blocks per bank: rows rounded up to whole blocks. */
+    std::size_t
+    bankBlocks() const
     {
-        return written(i) ? data_[i] : 0;
+        return (static_cast<std::size_t>(rows_) + kBlockRows - 1) /
+               kBlockRows;
     }
 
-    /** Entries [i, i + n), their granules marked written. */
+    /** Blocks reserved, one per directory slot. */
+    std::size_t maxBlocks() const { return banks_ * bankBlocks(); }
+
+    std::size_t blockWords() const { return kBlockRows * chips_; }
+
+    /** Block @p id, counting from 1. */
     std::uint32_t *
-    touch(std::size_t i, std::size_t n)
+    block(std::uint32_t id) const
     {
-        for (std::size_t g = i / kGranule; g <= (i + n - 1) / kGranule;
-             ++g) {
-            std::uint64_t &word = written_[g / 64];
-            const std::uint64_t bit = std::uint64_t{1} << (g % 64);
-            if ((word & bit) == 0) {
-                // Unwritten, so all zero: a store materialises the
-                // page in one fault.
-                data_[g * kGranule] = 0;
-                word |= bit;
-            }
-        }
-        return data_ + i;
+        return data_ + static_cast<std::size_t>(id - 1) * blockWords();
     }
+
+    /** The block at directory slot @p s, or nullptr if never written. */
+    std::uint32_t *
+    find(std::size_t s) const
+    {
+        const std::size_t page = s / kDirPage;
+        if (((written_[page / 64] >> (page % 64)) & 1) == 0) {
+            return nullptr;
+        }
+        const std::uint32_t id = dir_[s];
+        return id != 0 ? block(id) : nullptr;
+    }
+
+    /** The block at directory slot @p s, handed out on first use. */
+    std::uint32_t *
+    touch(std::size_t s)
+    {
+        std::uint32_t *counts = find(s);
+        return counts != nullptr ? counts : handOut(s);
+    }
+
+    /** Give slot @p s, which has no block yet, the next free one. */
+    std::uint32_t *handOut(std::size_t s);
 
     unsigned chips_;
     unsigned banks_;
     std::uint32_t rows_;
     std::size_t size_;
-    // Both are saved through entry(), which skips unwritten granules.
+    // The storage below is saved through find(), which skips blocks
+    // never handed out; a restore rebuilds all of it.
+    /** Blocks, maxBlocks() of them reserved. */
     std::uint32_t *data_; // mopac-lint: allow(serial-drift)
-    /** One bit per granule: set once anything was stored in it. */
+    /** Block id per (bank, row / kBlockRows); 0 when absent. */
+    std::uint32_t *dir_; // mopac-lint: allow(serial-drift)
+    /** One bit per directory page: set once anything was stored in it. */
     std::vector<std::uint64_t> written_; // mopac-lint: allow(serial-drift)
+    /** Blocks handed out so far, from the front of data_. */
+    std::uint32_t blocks_used_ = 0; // mopac-lint: allow(serial-drift)
 };
 
 } // namespace mopac

@@ -1,13 +1,17 @@
 /**
  * @file
- * RowTable tests: zero on demand, chip-minor adjacency, range
- * clears, the chip-major save/load transcode, and bounds asserts.
+ * RowTable tests: zero on demand, faults in proportion to the blocks
+ * written, chip-minor adjacency, range clears across blocks, the
+ * chip-major save/load transcode, and bounds asserts.
  */
 
+#include <map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -60,11 +64,54 @@ TEST(RowTable, FreshFullSizeTableReadsZero)
     EXPECT_LT(threadMinorFaults() - before, 64u);
 }
 
+TEST(RowTable, ScatteredRowWritesFaultInProportionToBytes)
+{
+    // One count in each of 4096 rows, 128 per bank, each row in its
+    // own block and 512 rows from the next: the scattered pattern of a
+    // memory-bound run.  Faults must follow the bytes of the blocks
+    // written plus the directory, not one page per row.
+    constexpr unsigned kChips = 4;
+    constexpr unsigned kBanks = 32;
+    constexpr std::uint32_t kRows = 65536;
+    constexpr std::uint32_t kPerBank = 128;
+    RowTable table(kChips, kBanks, kRows);
+    const std::uint64_t page =
+        static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+    const std::uint64_t blocks = std::uint64_t{kBanks} * kPerBank;
+    const std::uint64_t block_bytes =
+        std::uint64_t{RowTable::kBlockRows} * kChips * sizeof(std::uint32_t);
+    const std::uint64_t dir_pages =
+        (std::uint64_t{kBanks} * (kRows / RowTable::kBlockRows) *
+             sizeof(std::uint32_t) +
+         page - 1) /
+        page;
+    const std::uint64_t before = threadMinorFaults();
+    for (std::uint32_t k = 0; k < kPerBank; ++k) {
+        for (unsigned bank = 0; bank < kBanks; ++bank) {
+            const std::uint32_t row = k * (kRows / kPerBank) + bank;
+            ++table.at(bank % kChips, bank, row);
+        }
+    }
+    const std::uint64_t faults = threadMinorFaults() - before;
+    EXPECT_LT(faults, blocks * block_bytes / page + dir_pages + 64)
+        << "for " << blocks << " scattered rows";
+    const RowTable &view = table;
+    EXPECT_EQ(view.at(3, 3, 512 + 3), 1u);
+    EXPECT_EQ(view.at(2, 3, 512 + 3), 0u);
+}
+
 TEST(RowTable, ChipsOfARowMayStraddleAGranule)
 {
-    // 3 chips: row 341's entries are 1023..1025, across the first
-    // 1024-entry granule boundary.
+    // 3 chips: a block is 16 rows x 3 words = 192 B, so blocks do not
+    // align to 4 KiB pages.  Handing out blocks 0..20 first puts row
+    // 341 (block 21, row 5 in it) at words 1023..1025 of the block
+    // storage: its chips stay adjacent inside one block even though
+    // they cross a page, and a fresh block spanning two pages still
+    // reads back zero everywhere.
     RowTable table(3, 1, 1024);
+    for (std::uint32_t row = 0; row < 341; row += RowTable::kBlockRows) {
+        table.at(0, 0, row) = 9;
+    }
     std::uint32_t *counts = table.chipsOf(0, 341);
     counts[0] = 1;
     counts[1] = 2;
@@ -73,9 +120,11 @@ TEST(RowTable, ChipsOfARowMayStraddleAGranule)
     EXPECT_EQ(view.at(0, 0, 341), 1u);
     EXPECT_EQ(view.at(1, 0, 341), 2u);
     EXPECT_EQ(view.at(2, 0, 341), 3u);
+    EXPECT_EQ(view.at(2, 0, 351), 0u);
     table.clearRows(0, 341, 342);
     EXPECT_EQ(view.at(1, 0, 341), 0u);
     EXPECT_EQ(view.at(2, 0, 341), 0u);
+    EXPECT_EQ(view.at(0, 0, 336), 9u);
 }
 
 TEST(RowTable, ChipsOfOneRowAreAdjacent)
@@ -131,6 +180,85 @@ TEST(RowTable, SaveIsChipMajorAndLoadRoundTrips)
     again.finish();
     EXPECT_EQ(saved(back), image);
     EXPECT_EQ(back.at(1, 1, 1), 0u);
+}
+
+TEST(RowTable, ClearRowsSpansAllocatedAndUnallocatedBlocks)
+{
+    // Blocks 0 and 2 of bank 1 are written, block 1 is not; the clear
+    // runs from inside block 0 across block 1 into block 2.
+    constexpr std::uint32_t kB = RowTable::kBlockRows;
+    RowTable table(2, 2, 4 * kB);
+    for (unsigned bank = 0; bank < 2; ++bank) {
+        for (std::uint32_t row = 0; row < 4 * kB; ++row) {
+            if (row / kB != 1) {
+                table.at(0, bank, row) = 1 + row;
+                table.at(1, bank, row) = 100 + row;
+            }
+        }
+    }
+    table.clearRows(1, kB / 2, 2 * kB + kB / 2);
+    const RowTable &view = table;
+    for (std::uint32_t row = 0; row < 4 * kB; ++row) {
+        const bool swept = row >= kB / 2 && row < 2 * kB + kB / 2;
+        const bool written = row / kB != 1;
+        const std::uint32_t chip0 = written && !swept ? 1 + row : 0;
+        const std::uint32_t chip1 = written && !swept ? 100 + row : 0;
+        EXPECT_EQ(view.at(0, 1, row), chip0) << row;
+        EXPECT_EQ(view.at(1, 1, row), chip1) << row;
+        EXPECT_EQ(view.at(0, 0, row), written ? 1 + row : 0) << row;
+    }
+    // The unwritten block is still free to be handed out.
+    table.at(1, 1, kB) = 5;
+    EXPECT_EQ(view.at(1, 1, kB), 5u);
+    EXPECT_EQ(view.at(0, 1, 2 * kB + kB / 2), 1 + 2 * kB + kB / 2);
+}
+
+TEST(RowTable, RestoreOverStaleRowsThenFreshWritesMatchAReference)
+{
+    // The loaded table holds stale blocks in the lower half of every
+    // bank, and the fresh writes after the load land in the upper
+    // half.  A restore that kept stale directory entries would hand
+    // the fresh rows blocks that stale entries still point to.
+    using Key = std::tuple<unsigned, unsigned, std::uint32_t>;
+    constexpr unsigned kChips = 2;
+    constexpr unsigned kBanks = 3;
+    constexpr std::uint32_t kRows = 200;
+    std::map<Key, std::uint32_t> want;
+    RowTable source(kChips, kBanks, kRows);
+    for (std::uint32_t k = 0; k < 40; ++k) {
+        const Key key{k % kChips, k % kBanks, (k * 37) % kRows};
+        source.at(std::get<0>(key), std::get<1>(key), std::get<2>(key)) =
+            want[key] = 1000 + k;
+    }
+    const std::vector<std::uint8_t> image = saved(source);
+
+    RowTable table(kChips, kBanks, kRows);
+    for (std::uint32_t row = 0; row < kRows / 2; row += 3) {
+        for (unsigned bank = 0; bank < kBanks; ++bank) {
+            table.at(1, bank, row) = 7; // Stale: dropped by the load.
+        }
+    }
+    Deserializer des(image, FileKind::kSnapshot, kHash);
+    table.loadState(des);
+    des.finish();
+    for (std::uint32_t k = 0; k < 60; ++k) {
+        const Key key{(k + 1) % kChips, (k * 5) % kBanks,
+                      kRows / 2 + (k * 53 + 11) % (kRows / 2)};
+        table.at(std::get<0>(key), std::get<1>(key), std::get<2>(key)) =
+            want[key] = 5000 + k;
+    }
+
+    const RowTable &view = table;
+    for (unsigned chip = 0; chip < kChips; ++chip) {
+        for (unsigned bank = 0; bank < kBanks; ++bank) {
+            for (std::uint32_t row = 0; row < kRows; ++row) {
+                const auto it = want.find(Key{chip, bank, row});
+                EXPECT_EQ(view.at(chip, bank, row),
+                          it == want.end() ? 0u : it->second)
+                    << chip << "/" << bank << "/" << row;
+            }
+        }
+    }
 }
 
 TEST(RowTable, LoadRejectsAWrongSizeAndLeavesTheTable)
