@@ -155,7 +155,10 @@ Config::getUint(const std::string &key, std::uint64_t def) const
     char *end = nullptr;
     const std::uint64_t v =
         std::strtoull(it->second.value.c_str(), &end, 0);
-    if (end == it->second.value.c_str() || *end != '\0') {
+    // strtoull negates a leading '-' instead of rejecting it, so
+    // "-1" would parse as 2^64 - 1.
+    if (end == it->second.value.c_str() || *end != '\0' ||
+        it->second.value.find('-') != std::string::npos) {
         fatal("config key '{}': '{}' is not an unsigned integer", key,
               it->second.value);
     }

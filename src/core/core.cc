@@ -18,7 +18,6 @@
 
 #include "common/log.hh"
 #include "common/serialize.hh"
-#include "sim/profile.hh"
 
 namespace mopac
 {
@@ -89,9 +88,6 @@ Core::tick(Cycle now)
     // and each phase returns true precisely when one moved -- the
     // engine-differential suite pins this down against the tick
     // engine.
-    SimProfile &prof = simProfile();
-    ++prof.core_ticks;
-
     bool changed = releaseMshrs(now);
     changed |= retire(now);
     changed |= fetch(now);
@@ -101,7 +97,6 @@ Core::tick(Cycle now)
         finish_cycle_ = now;
         finish_insts_ = retire_inst_;
     }
-    prof.core_active_ticks += changed ? 1 : 0;
     return changed;
 }
 
@@ -116,7 +111,6 @@ Core::releaseMshrs(Cycle now)
     if (mshr_releases_ == 0 || now < next_release_at_) {
         return false;
     }
-    ++simProfile().core_release_scans;
     bool released = false;
     Cycle next = kNeverCycle;
     for (std::uint32_t j = 0; j < ops_count_; ++j) {
@@ -291,8 +285,6 @@ Core::issue(Cycle now)
         ++first_unissued_;
     }
     MOPAC_ASSERT(first_unissued_ < ops_count_);
-    SimProfile &prof = simProfile();
-    ++prof.core_issue_scans;
     unsigned budget = params_.width;
 
     if (outstanding_reads_ >= params_.mshrs) {
@@ -312,7 +304,6 @@ Core::issue(Cycle now)
         std::uint32_t remaining_w = unissued_writes_;
         for (std::uint32_t j = first_unissued_;
              j < ops_count_ && budget > 0 && remaining_w > 0; ++j) {
-            ++prof.core_issue_steps;
             MemOp &op = opAt(j);
             if (op.issued || !op.is_write) {
                 continue;
@@ -355,7 +346,6 @@ Core::issue(Cycle now)
     bool changed = false;
     Cycle wake = kNeverCycle;
     for (std::uint32_t j = first_unissued_; j < ops_count_; ++j) {
-        ++prof.core_issue_steps;
         MemOp &op = opAt(j);
         const bool dep_ok =
             !op.depends_on_prev || !prev_was_read || prev_read_done;

@@ -31,7 +31,6 @@
 #include "common/log.hh"
 #include "common/serialize.hh"
 #include "sim/faults.hh"
-#include "sim/profile.hh"
 
 namespace mopac
 {
@@ -119,7 +118,6 @@ Controller::tick(Cycle now)
         return;
     }
     next_wake_ = kNeverCycle;
-    ++simProfile().mc_ticks;
 
     // Busy executing REF / RFM.
     if (state_ == MaintState::kRfmBusy || state_ == MaintState::kRefBusy) {
@@ -229,7 +227,6 @@ Controller::tryCas(RequestQueue &queue, bool is_write, Cycle now)
     const Cycle bus_ready = is_write ? device_.writeBusAllowedAt()
                                      : device_.readBusAllowedAt();
     const BankArray &banks = device_.banks();
-    SimProfile &prof = simProfile();
 
     // Candidate per open bank: its oldest row hit (all hits in a bank
     // share one ready time, so no younger hit can act differently).
@@ -250,7 +247,6 @@ Controller::tryCas(RequestQueue &queue, bool is_write, Cycle now)
         const unsigned bank =
             static_cast<unsigned>(std::countr_zero(m));
         const std::int32_t s = hit_head[bank];
-        ++prof.mc_cas_candidates;
         const Cycle ready =
             std::max(is_write ? banks.writeReadyAt(bank)
                               : banks.readReadyAt(bank),
@@ -290,7 +286,6 @@ Controller::tryActs(Cycle now, bool serve_writes)
 {
     const Cycle subch_ready = device_.actAllowedAt();
     const BankArray &banks = device_.banks();
-    SimProfile &prof = simProfile();
     const std::uint64_t open = banks.openMask();
 
     // Candidate per closed bank: its oldest request (= bank list
@@ -307,7 +302,6 @@ Controller::tryActs(Cycle now, bool serve_writes)
             const unsigned bank =
                 static_cast<unsigned>(std::countr_zero(m));
             const std::int32_t s = queue.bankHead(bank);
-            ++prof.mc_act_candidates;
             const Cycle ready =
                 std::max(banks.actReadyAt(bank), subch_ready);
             if (now >= ready) {
@@ -419,10 +413,6 @@ Controller::scheduleOne(Cycle now)
         scheduleOneNaive(now);
         return;
     }
-    SimProfile &prof = simProfile();
-    ++prof.mc_sched_passes;
-    prof.mc_queue_cycles += read_q_.size() + write_q_.size();
-
     // Write-drain hysteresis.
     if (write_q_.size() >= params_.wq_drain_high) {
         drain_mode_ = true;
@@ -454,7 +444,6 @@ Controller::scheduleOne(Cycle now)
                 cache_bver_[qi][bank] == bver) {
                 continue;
             }
-            ++prof.mc_mark_walks;
             const std::uint32_t open = banks.openRow(bank);
             const std::uint64_t bit = std::uint64_t{1} << bank;
             std::int32_t first_hit = RequestQueue::kNil;
@@ -463,7 +452,6 @@ Controller::scheduleOne(Cycle now)
                  s != RequestQueue::kNil &&
                  !(first_hit != RequestQueue::kNil && conflict);
                  s = queue.bankNext(s)) {
-                ++prof.mc_mark_steps;
                 if (queue.at(s).row == open) {
                     if (first_hit == RequestQueue::kNil) {
                         first_hit = s;
@@ -515,11 +503,11 @@ Controller::scheduleOne(Cycle now)
     }
 }
 
-// Reference scheduler: the pre-ISSUE-9 scans, expressed over the
-// RequestQueue's global arrival list (identical iteration order to
-// the old flat vectors).  Not a hot path -- it exists so the property
-// test can replay randomized traffic through both schedulers and the
-// throughput harness can measure the busy-path win on one host.
+// Reference scheduler: the original full-queue scans, expressed over
+// the RequestQueue's global arrival list (identical iteration order
+// to the old flat vectors).  Not a hot path -- it exists so the
+// property test can replay randomized traffic through both
+// schedulers.
 
 bool
 Controller::tryCasNaive(RequestQueue &queue, bool is_write, Cycle now)

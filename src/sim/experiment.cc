@@ -5,7 +5,9 @@
 
 #include "experiment.hh"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/log.hh"
 #include "common/serialize.hh"
@@ -20,17 +22,25 @@ std::uint64_t
 defaultInstsPerCore(std::uint64_t base)
 {
     if (const char *abs = std::getenv("MOPAC_SIM_INSTS")) {
-        const std::uint64_t v = std::strtoull(abs, nullptr, 10);
-        if (v > 0) {
+        // Plain digits only: from_chars into an unsigned type takes
+        // no sign, and the whole string must parse (strtoull would
+        // negate "-5" and stop quietly at the 'a' of "12abc").
+        const char *last = abs + std::strlen(abs);
+        std::uint64_t v = 0;
+        const auto [ptr, ec] = std::from_chars(abs, last, v);
+        if (ec == std::errc() && ptr == last && v > 0) {
             return v;
         }
         warn("ignoring invalid MOPAC_SIM_INSTS='{}'", abs);
     }
     if (const char *scale = std::getenv("MOPAC_SIM_SCALE")) {
-        const double f = std::strtod(scale, nullptr);
-        if (f > 0.0) {
-            return static_cast<std::uint64_t>(
-                static_cast<double>(base) * f);
+        char *end = nullptr;
+        const double f = std::strtod(scale, &end);
+        const double n = static_cast<double>(base) * f;
+        // The product must fit in uint64_t: casting inf, NaN or
+        // anything >= 2^64 is undefined behaviour.
+        if (end != scale && *end == '\0' && f > 0.0 && n < 0x1p64) {
+            return static_cast<std::uint64_t>(n);
         }
         warn("ignoring invalid MOPAC_SIM_SCALE='{}'", scale);
     }

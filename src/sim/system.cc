@@ -12,7 +12,6 @@
 #include "analysis/security.hh"
 #include "common/log.hh"
 #include "common/serialize.hh"
-#include "sim/profile.hh"
 #include "sim/stop.hh"
 #include "mitigation/mopac_c.hh"
 #include "mitigation/none.hh"
@@ -362,7 +361,6 @@ System::runTo(Cycle stop_at)
     }
 
     const bool event_mode = cfg_.engine == SimEngine::kEvent;
-    SimProfile &prof = simProfile();
     // Cores still waiting to clear warmup; once all have started
     // their measured interval the per-cycle check below disappears.
     unsigned measure_pending = 0;
@@ -423,7 +421,6 @@ System::runTo(Cycle stop_at)
             reportAbort(now_);
         }
         ++now_;
-        ++prof.cycles_run;
         if (now_ >= max_cycles) {
             trip_cycle_bound();
             break;
@@ -436,7 +433,6 @@ System::runTo(Cycle stop_at)
             continue;
         }
 
-        ++prof.event_maint;
         const Cycle next = nextEventCycle(mc_next);
         if (next <= now_) {
             continue;
@@ -444,7 +440,6 @@ System::runTo(Cycle stop_at)
         if (next >= max_cycles && max_cycles <= stop_at) {
             // The tick loop would idle cycle-by-cycle up to the bound
             // and trip it before pausing; replicate that ordering.
-            prof.cycles_skipped += max_cycles - now_;
             now_ = max_cycles;
             trip_cycle_bound();
             break;
@@ -452,7 +447,6 @@ System::runTo(Cycle stop_at)
         // Jump straight to the wakeup; the loop head pauses at
         // stop_at first if that comes sooner.
         const Cycle target = std::min(next, stop_at);
-        prof.cycles_skipped += target - now_;
         now_ = target;
     }
     return true;

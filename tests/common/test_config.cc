@@ -154,6 +154,9 @@ TEST(ConfigDeathTest, TypeErrorsAreFatal)
                 "not an integer");
     EXPECT_EXIT((void)c.getBool("word"), ::testing::ExitedWithCode(1),
                 "not a boolean");
+    c.parseLine("negative = -1");
+    EXPECT_EXIT((void)c.getUint("negative"), ::testing::ExitedWithCode(1),
+                "not an unsigned integer");
 }
 
 } // namespace

@@ -169,7 +169,12 @@ class CheckpointCorruption : public ::testing::Test
     SetUp() override
     {
         cfg_ = quickConfig(MitigationKind::kMopacD);
-        path_ = snapshotPath("corruption");
+        // One file per test: ctest runs these tests as concurrent
+        // processes, and a shared path lets one test's SetUp rewrite
+        // the snapshot another test is restoring.
+        path_ = snapshotPath(
+            std::string("corruption_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
         std::remove(path_.c_str());
         sweepstop::reset();
         sweepstop::requestStop();

@@ -12,8 +12,9 @@
  *    command ring -- if any component diverges, the snapshots differ).
  *
  * Coverage spans every MitigationKind, each workload generator class
- * of Table 4 (bursty, hot-row skewed, streaming, and a mix), and a
- * many-sided Rowhammer attack stream driving ALERT/ABO storms.
+ * of Table 4 (bursty, hot-row skewed, streaming, and a mix), an
+ * idle-heavy dependent pointer chase, and a many-sided Rowhammer
+ * attack stream driving ALERT/ABO storms.
  */
 
 #include <gtest/gtest.h>
@@ -156,6 +157,29 @@ TEST(EngineDiff, EveryWorkloadGeneratorClassMatches)
         SystemConfig cfg = quickConfig(MitigationKind::kMopacC);
         expectEnginesAgree(cfg, workloadBuilder(name), name);
     }
+}
+
+TEST(EngineDiff, IdleHeavyPointerChaseMatches)
+{
+    // One core, every read depends on the previous one and opens a
+    // new row: the core stalls on nearly every cycle, so this is the
+    // point where the event engine skips the most cycles.
+    SystemConfig cfg = quickConfig(MitigationKind::kNone);
+    cfg.num_cores = 1;
+    auto build = [](const SystemConfig &cfg_, const AddressMap &map) {
+        WorkloadSpec spec;
+        spec.name = "idle_pchase";
+        spec.mpki = 1000.0;
+        spec.write_frac = 0.0;
+        spec.dep_frac = 1.0;
+        spec.burst_len = 1.0;
+        spec.cluster = 1.0;
+        spec.footprint_rows = 512;
+        std::vector<std::unique_ptr<TraceSource>> out;
+        out.push_back(makeTraceSource(spec, map, 0, 1, cfg_.seed));
+        return out;
+    };
+    expectEnginesAgree(cfg, build, "idle_pchase/none");
 }
 
 /**

@@ -192,7 +192,14 @@ TEST(System, DefaultInstsRespectsEnv)
     EXPECT_EQ(defaultInstsPerCore(1000), 500u);
     ::setenv("MOPAC_SIM_INSTS", "777", 1);
     EXPECT_EQ(defaultInstsPerCore(1000), 777u);
+    // Malformed values warn and fall through to the next source.
+    ::setenv("MOPAC_SIM_INSTS", "-5", 1);
+    EXPECT_EQ(defaultInstsPerCore(1000), 500u);
+    ::setenv("MOPAC_SIM_INSTS", "12abc", 1);
+    EXPECT_EQ(defaultInstsPerCore(1000), 500u);
     ::unsetenv("MOPAC_SIM_INSTS");
+    ::setenv("MOPAC_SIM_SCALE", "inf", 1);
+    EXPECT_EQ(defaultInstsPerCore(1000), 1000u);
     ::unsetenv("MOPAC_SIM_SCALE");
 }
 
