@@ -19,9 +19,10 @@
 #ifndef MOPAC_BENCH_BENCH_UTIL_HH
 #define MOPAC_BENCH_BENCH_UTIL_HH
 
-#include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -29,7 +30,6 @@
 
 #include "common/mathutil.hh"
 #include "common/table.hh"
-#include "serve/client.hh"
 #include "sim/experiment.hh"
 #include "sim/journal.hh"
 #include "sim/runner.hh"
@@ -63,10 +63,6 @@ benchInsts()
  *   --drain-deadline SEC  with --journal: seconds in-flight points
  *                get to finish after a stop request before a hard
  *                abort abandons them (default 30; 0 = wait forever)
- *   --submit SOCKET  run the sweep through a mopac_serve daemon at
- *                SOCKET instead of in-process: identical results
- *                (and cache hits for repeated cells), plus daemon-
- *                side crash safety
  */
 struct BenchOptions
 {
@@ -76,31 +72,33 @@ struct BenchOptions
     /** Journal directory ("" = plain, non-resumable sweep). */
     std::string journal;
     double drain_deadline_sec = 30.0;
-    /** mopac_serve socket ("" = run the sweep in-process). */
-    std::string submit;
 };
 
 /** Parse the shared bench flags; fatal() on malformed input. */
 inline BenchOptions
 parseBenchArgs(int argc, char **argv)
 {
-    auto number = [](const std::string &flag,
-                     const std::string &text) -> std::uint64_t {
-        char *end = nullptr;
-        const std::uint64_t v =
-            std::strtoull(text.c_str(), &end, 10);
-        // strtoull silently negates "-5"; require plain digits.
-        if (text.empty() || !std::isdigit(static_cast<unsigned char>(text.front())) ||
-            end == nullptr || *end != '\0') {
+    // Plain decimal digits, the whole string, and no larger than the
+    // field it lands in: no sign, no overflow, no silent narrowing.
+    auto number = [](const std::string &flag, const std::string &text,
+                     std::uint64_t max_value) -> std::uint64_t {
+        std::uint64_t v = 0;
+        const char *last = text.data() + text.size();
+        const auto [end, ec] = std::from_chars(text.data(), last, v);
+        if (ec != std::errc() || end != last || v > max_value) {
             fatal("{} expects a non-negative number, got '{}'", flag,
                   text);
         }
         return v;
     };
+    constexpr std::uint64_t kMaxJobs =
+        std::numeric_limits<unsigned>::max();
+    constexpr std::uint64_t kMaxReplay =
+        std::numeric_limits<std::int64_t>::max();
     BenchOptions opts;
     if (const char *env = std::getenv("MOPAC_JOBS")) {
-        opts.jobs =
-            static_cast<unsigned>(number("MOPAC_JOBS", env));
+        opts.jobs = static_cast<unsigned>(
+            number("MOPAC_JOBS", env, kMaxJobs));
     }
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -116,11 +114,11 @@ parseBenchArgs(int argc, char **argv)
         };
         if (arg == "--jobs" || arg.rfind("--jobs=", 0) == 0) {
             opts.jobs = static_cast<unsigned>(
-                number("--jobs", value("--jobs")));
+                number("--jobs", value("--jobs"), kMaxJobs));
         } else if (arg == "--replay" ||
                    arg.rfind("--replay=", 0) == 0) {
             opts.replay = static_cast<std::int64_t>(
-                number("--replay", value("--replay")));
+                number("--replay", value("--replay"), kMaxReplay));
         } else if (arg == "--list-points") {
             opts.list_points = true;
         } else if (arg == "--journal" ||
@@ -139,14 +137,10 @@ parseBenchArgs(int argc, char **argv)
                 fatal("--drain-deadline expects a non-negative "
                       "number of seconds, got '{}'", text);
             }
-        } else if (arg == "--submit" ||
-                   arg.rfind("--submit=", 0) == 0) {
-            opts.submit = value("--submit");
         } else if (arg == "--help" || arg == "-h") {
             std::puts("usage: <bench> [--jobs N] [--replay ID] "
                       "[--list-points] [--journal DIR] "
-                      "[--resume DIR] [--drain-deadline SEC] "
-                      "[--submit SOCKET]");
+                      "[--resume DIR] [--drain-deadline SEC]");
             std::exit(0);
         } else {
             fatal("unknown bench argument '{}'", arg);
@@ -282,37 +276,7 @@ runBenchPoints(const std::vector<ExperimentPoint> &points,
     ropts.jobs = opts.jobs;
 
     std::vector<PointResult> results;
-    if (!opts.submit.empty()) {
-        // Route the sweep through a mopac_serve daemon: identical
-        // deterministic results, daemon-side journaling, and repeated
-        // cells served from the content-addressed cache.
-        serve::ClientOptions copts;
-        copts.socket_path = opts.submit;
-        serve::Client client(copts);
-        serve::JobOptions jopts;
-        serve::Manifest manifest;
-        try {
-            manifest = client.runSweep(points, jopts);
-        } catch (const serve::ClientError &err) {
-            fatal("--submit {}: {}", opts.submit, err.what());
-        }
-        inform("daemon job {:x} {}: {} done ({} cached), {} "
-               "quarantined",
-               manifest.status.job_id,
-               serve::toString(manifest.status.phase),
-               manifest.status.counts.done,
-               manifest.status.counts.cached,
-               manifest.status.counts.quarantined);
-        results.reserve(manifest.entries.size());
-        for (serve::ManifestEntry &entry : manifest.entries) {
-            results.push_back(std::move(entry.result));
-        }
-        if (results.size() != points.size()) {
-            fatal("--submit {}: daemon returned {} results for {} "
-                  "points", opts.submit, results.size(),
-                  points.size());
-        }
-    } else if (!opts.journal.empty()) {
+    if (!opts.journal.empty()) {
         // Journaled (resumable) sweep: finished points come from the
         // journal, new ones are recorded atomically, and a signal
         // pauses at the next point boundary with the resumable exit

@@ -2,10 +2,10 @@
  * @file
  * Smoke-test sweep: one busy workload (mcf, 28.8 MPKI) across every
  * mitigation kind at T_RH 500.  Not a paper exhibit -- this is the
- * sweep the crash-safety smoke tests (kill_resume_smoke, serve_smoke)
- * run so journal/checkpoint resume and daemon restarts are exercised
- * on saturated-scheduler state (indexed FR-FCFS queues, per-bank
- * ready lists, SoA trackers), not only on idle-heavy points.
+ * sweep the crash-safety smoke test (kill_resume_smoke) runs so
+ * journal resume is exercised on saturated-scheduler state (indexed
+ * FR-FCFS queues, per-bank ready lists, SoA trackers), not only on
+ * idle-heavy points.
  */
 
 #include <iostream>

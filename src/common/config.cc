@@ -6,6 +6,7 @@
 #include "config.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 
@@ -145,22 +146,35 @@ Config::getInt(const std::string &key, std::int64_t def) const
 }
 
 std::uint64_t
-Config::getUint(const std::string &key, std::uint64_t def) const
+Config::getUint(const std::string &key, std::uint64_t def,
+                std::uint64_t max_value) const
 {
     const auto it = values_.find(key);
     if (it == values_.end()) {
         return def;
     }
     it->second.consumed = true;
-    char *end = nullptr;
-    const std::uint64_t v =
-        std::strtoull(it->second.value.c_str(), &end, 0);
-    // strtoull negates a leading '-' instead of rejecting it, so
-    // "-1" would parse as 2^64 - 1.
-    if (end == it->second.value.c_str() || *end != '\0' ||
-        it->second.value.find('-') != std::string::npos) {
+    const std::string &text = it->second.value;
+    // The prefixes strtoull(..., 0) reads, but through from_chars: no
+    // sign ("-1" is not 2^64 - 1) and no clamping of an overflow to
+    // 2^64 - 1.
+    int base = 10;
+    std::size_t skip = 0;
+    if (text.size() > 2 && text[0] == '0' &&
+        (text[1] == 'x' || text[1] == 'X')) {
+        base = 16;
+        skip = 2;
+    } else if (text.size() > 1 && text[0] == '0') {
+        base = 8;
+        skip = 1;
+    }
+    std::uint64_t v = 0;
+    const char *last = text.data() + text.size();
+    const auto [end, ec] =
+        std::from_chars(text.data() + skip, last, v, base);
+    if (ec != std::errc() || end != last || v > max_value) {
         fatal("config key '{}': '{}' is not an unsigned integer", key,
-              it->second.value);
+              text);
     }
     return v;
 }

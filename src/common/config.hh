@@ -17,6 +17,7 @@
 #define MOPAC_COMMON_CONFIG_HH
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -51,12 +52,17 @@ class Config
     /**
      * Typed getters returning @p def when the key is absent.  Every
      * lookup marks the key consumed (see rejectUnknownKeys()).
+     * getUint() reads decimal, 0x hex or 0-prefixed octal and is
+     * fatal on a value above @p max_value (default: the full 64-bit
+     * range), so a narrower field never silently wraps.
      */
     std::string getString(const std::string &key,
                           const std::string &def = "") const;
     std::int64_t getInt(const std::string &key, std::int64_t def = 0) const;
-    std::uint64_t getUint(const std::string &key,
-                          std::uint64_t def = 0) const;
+    std::uint64_t getUint(
+        const std::string &key, std::uint64_t def = 0,
+        std::uint64_t max_value =
+            std::numeric_limits<std::uint64_t>::max()) const;
     double getDouble(const std::string &key, double def = 0.0) const;
     bool getBool(const std::string &key, bool def = false) const;
 

@@ -210,29 +210,6 @@ Serializer::finish(FileKind kind, std::uint64_t config_hash) const
     return out;
 }
 
-ContainerHeader
-peekHeader(const std::vector<std::uint8_t> &image)
-{
-    if (image.size() < kHeaderSize + kTrailerSize) {
-        corrupt(format("file too small ({} bytes)", image.size()));
-    }
-    if (!std::equal(kMagic.begin(), kMagic.end(), image.begin())) {
-        corrupt("bad magic (not a MOPAC checkpoint file)");
-    }
-    const std::uint8_t *hdr = image.data() + kMagic.size();
-    ContainerHeader out;
-    out.version = static_cast<std::uint32_t>(readLe(hdr, 4));
-    out.kind = static_cast<FileKind>(readLe(hdr + 4, 4));
-    out.config_hash = readLe(hdr + 8, 8);
-    out.payload_size = readLe(hdr + 16, 8);
-    if (out.payload_size != image.size() - kHeaderSize - kTrailerSize) {
-        corrupt(format("declared payload {} bytes, file carries {}",
-                       out.payload_size,
-                       image.size() - kHeaderSize - kTrailerSize));
-    }
-    return out;
-}
-
 // ---------------------------------------------------------------------
 // Deserializer
 

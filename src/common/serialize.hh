@@ -49,9 +49,8 @@ enum class FileKind : std::uint32_t
     kSnapshot = 1,       //!< Full sim::System state snapshot.
     kSweepManifest = 2,  //!< Sweep journal manifest (config hashes).
     kPointRecord = 3,    //!< One completed PointResult.
-    kServeMessage = 4,   //!< One mopac_serve protocol message.
+    kServeMessage = 4,   //!< One supervisor<->worker protocol message.
     kCacheEntry = 5,     //!< Content-addressed sweep-cache record.
-    kServeJob = 6,       //!< Persisted daemon job spec (point list).
 };
 
 /**
@@ -185,30 +184,6 @@ class Deserializer
     std::uint64_t config_hash_ = 0;
     std::vector<std::size_t> limits_; //!< End offsets of open sections.
 };
-
-/**
- * Decoded container header, exposed without touching the payload.
- * This is what lets the serve-layer result cache index an on-disk
- * entry (and the protocol layer dispatch on a message's config-hash
- * field) before paying for a full strict parse.
- */
-struct ContainerHeader
-{
-    std::uint32_t version = 0;
-    FileKind kind = FileKind::kSnapshot;
-    /** The envelope's config-hash field (cache key / message type). */
-    std::uint64_t config_hash = 0;
-    std::uint64_t payload_size = 0;
-};
-
-/**
- * Validate @p image's magic and fixed header and return the decoded
- * header fields.  Deliberately shallow: the payload and CRC are NOT
- * checked (use Deserializer for a strict load).  Throws
- * SerializeError on a short image, foreign magic, or a declared
- * payload size that disagrees with the image size.
- */
-ContainerHeader peekHeader(const std::vector<std::uint8_t> &image);
 
 /**
  * Crash-safe file write: the bytes are written to a temporary sibling,

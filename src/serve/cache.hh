@@ -4,11 +4,11 @@
  *
  * An entry is keyed by the serialize layer's config hash --
  * snapshotConfigHash(cfg, workload) = FNV-1a over the full
- * configSignature() plus the workload name -- so two submissions of
- * an identical (config, workload) cell resolve to the same entry
- * regardless of job, point id, or submitter.  This is what turns the
- * daemon into a memoizing service: a resubmitted sweep is answered
- * from disk in microseconds per point instead of re-simulating.
+ * configSignature() plus the workload name -- so two sweeps that
+ * contain an identical (config, workload) cell resolve to the same
+ * entry regardless of sweep or point id.  A repeated sweep is then
+ * answered from disk in microseconds per point instead of
+ * re-simulating.
  *
  * Robustness properties:
  *  - Entries are serialize-layer containers (FileKind::kCacheEntry)
@@ -23,12 +23,12 @@
  *    the point re-simulates -- the cache self-heals instead of
  *    poisoning jobs.
  *  - Only kOk results are stored; quarantined results must re-run on
- *    the next submission, never be replayed from cache.
+ *    the next sweep, never be replayed from cache.
  *  - The footprint can be bounded (setBudget): each entry persists a
  *    monotonic insertion sequence number, and when the directory
  *    exceeds the budget the lowest-sequence entries are evicted --
  *    deterministic LRU by insertion order, never by access time, so
- *    two daemons replaying the same store history evict identically.
+ *    two caches replaying the same store history evict identically.
  */
 
 #ifndef MOPAC_SERVE_CACHE_HH
@@ -90,7 +90,7 @@ class ResultCache
     /** Entries evicted to stay within budget since construction. */
     std::uint64_t evictions() const { return evictions_; }
 
-    /** Cache hits served since construction (daemon stats). */
+    /** Cache hits served since construction. */
     std::uint64_t hits() const { return hits_; }
 
     /** Misses since construction. */

@@ -13,17 +13,13 @@
 #include <cstring>
 #include <mutex>
 
-#include <fcntl.h>
 #include <poll.h>
-#include <sys/file.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/format.hh"
-#include "common/log.hh"
 #include "common/rng.hh"
 #include "common/serialize.hh"
 #include "common/wallclock.hh"
@@ -44,11 +40,13 @@ throwErrno(const std::string &what)
 // Fault shim state
 // ------------------------------------------------------------------
 
-/** Per-kind decision streams; each keeps its own call counter. */
+/**
+ * Per-kind decision streams; each keeps its own call counter.  The
+ * values seed the streams, so they stay fixed (2 was the accept path).
+ */
 enum ShimKind : std::uint64_t
 {
     kShimWrite = 1,
-    kShimAccept = 2,
     kShimRecv = 3,
     kShimSend = 4,
     kShimSendShort = 5,
@@ -110,31 +108,6 @@ toString(IoStatus status)
       case IoStatus::kPeerClosed: return "peer-closed";
     }
     return "?";
-}
-
-IoStatus
-waitReadable(int fd, double timeout_sec)
-{
-    const bool forever = timeout_sec < 0.0;
-    const auto deadline =
-        wallclock::deadlineAfter(forever ? 0.0 : timeout_sec);
-    for (;;) {
-        struct pollfd pfd = {};
-        pfd.fd = fd;
-        pfd.events = POLLIN;
-        const int rc =
-            ::poll(&pfd, 1, remainingMs(deadline, forever));
-        if (rc > 0) {
-            return IoStatus::kOk;
-        }
-        if (rc == 0) {
-            return IoStatus::kTimeout;
-        }
-        if (errno == EINTR) {
-            continue;
-        }
-        throwErrno("poll");
-    }
 }
 
 std::vector<std::size_t>
@@ -287,134 +260,6 @@ writeAll(int fd, const std::uint8_t *data, std::size_t size,
     return IoStatus::kOk;
 }
 
-int
-listenUnix(const std::string &path)
-{
-    struct sockaddr_un addr = {};
-    addr.sun_family = AF_UNIX;
-    if (path.size() >= sizeof(addr.sun_path)) {
-        throw IoError(format("socket path too long: {}", path));
-    }
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) {
-        throwErrno("socket");
-    }
-    // The caller holds the single-instance lock, so any existing
-    // socket file is a leftover from a crashed daemon.
-    ::unlink(path.c_str());
-    if (::bind(fd, reinterpret_cast<const struct sockaddr *>(&addr),
-               sizeof(addr)) < 0) {
-        closeQuiet(fd);
-        throwErrno(format("bind {}", path));
-    }
-    if (::listen(fd, 64) < 0) {
-        closeQuiet(fd);
-        throwErrno(format("listen {}", path));
-    }
-    return fd;
-}
-
-int
-acceptClient(int listen_fd, double timeout_sec)
-{
-    if (waitReadable(listen_fd, timeout_sec) != IoStatus::kOk) {
-        return -1;
-    }
-    if (shimFires(kShimAccept, &IoFaultConfig::emfile_rate,
-                  &IoFaultStats::emfile)) {
-        // Injected EMFILE: shed exactly as the real path below does.
-        return -1;
-    }
-    for (;;) {
-        const int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd >= 0) {
-            return fd;
-        }
-        if (errno == EINTR) {
-            continue;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK ||
-            errno == ECONNABORTED) {
-            return -1; // The pending connection evaporated.
-        }
-        if (errno == EMFILE || errno == ENFILE || errno == ENOMEM ||
-            errno == ENOBUFS) {
-            // Resource exhaustion must shed load, not crash the
-            // daemon: the connection stays queued in the backlog and
-            // the next pump retries once pressure eases.
-            warn("accept: {} -- shedding one connection",
-                 std::strerror(errno));
-            return -1;
-        }
-        throwErrno("accept");
-    }
-}
-
-int
-connectUnix(const std::string &path, double timeout_sec)
-{
-    struct sockaddr_un addr = {};
-    addr.sun_family = AF_UNIX;
-    if (path.size() >= sizeof(addr.sun_path)) {
-        throw IoError(format("socket path too long: {}", path));
-    }
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-
-    const auto deadline = wallclock::deadlineAfter(
-        timeout_sec < 0.0 ? 0.0 : timeout_sec);
-    for (;;) {
-        const int fd =
-            ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        if (fd < 0) {
-            throwErrno("socket");
-        }
-        int rc;
-        do {
-            rc = ::connect(
-                fd, reinterpret_cast<const struct sockaddr *>(&addr),
-                sizeof(addr));
-        } while (rc < 0 && errno == EINTR);
-        if (rc == 0) {
-            return fd;
-        }
-        closeQuiet(fd);
-        if (errno != ENOENT && errno != ECONNREFUSED) {
-            throwErrno(format("connect {}", path));
-        }
-        // Daemon not (yet) there: retry within the budget.
-        if (timeout_sec >= 0.0 &&
-            wallclock::secondsSince(deadline) >= 0.0) {
-            return -1;
-        }
-        struct pollfd none = {};
-        none.fd = -1;
-        ::poll(&none, 1, 50); // EINTR-tolerant 50ms sleep.
-    }
-}
-
-void
-sleepFor(double seconds)
-{
-    if (seconds <= 0.0) {
-        return;
-    }
-    const auto deadline = wallclock::deadlineAfter(seconds);
-    for (;;) {
-        const int ms = remainingMs(deadline, false);
-        if (ms <= 0) {
-            return;
-        }
-        struct pollfd none = {};
-        none.fd = -1;
-        if (::poll(&none, 1, ms) == 0) {
-            return; // Full interval elapsed.
-        }
-        // EINTR: keep sleeping until the deadline.
-    }
-}
-
 SocketPair
 makeSocketPair()
 {
@@ -471,21 +316,6 @@ ensureDir(const std::string &path)
     throwErrno(format("mkdir {}", path));
 }
 
-int
-lockFile(const std::string &path)
-{
-    const int fd =
-        ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-    if (fd < 0) {
-        throwErrno(format("open {}", path));
-    }
-    if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
-        closeQuiet(fd);
-        return -1;
-    }
-    return fd;
-}
-
 void
 setIoFaultShim(const IoFaultConfig &config)
 {
@@ -498,8 +328,8 @@ setIoFaultShim(const IoFaultConfig &config)
         }
     }
     // ENOSPC rides the common-layer hook so every atomicWriteFile in
-    // the process (cache entries, journal records, job specs,
-    // checkpoints) injects from the same deterministic stream.
+    // the process (cache entries, journal records, checkpoints)
+    // injects from the same deterministic stream.
     if (config.seed != 0 && config.enospc_rate > 0.0) {
         setWriteFaultHook([](const std::string &path) {
             if (shimFires(kShimWrite, &IoFaultConfig::enospc_rate,

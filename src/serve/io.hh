@@ -2,10 +2,10 @@
  * @file
  * The one sanctioned blocking-syscall access point of the serve layer.
  *
- * A self-healing daemon must never wedge on a dead peer: every
+ * The supervisor must never wedge on a dead or stopped worker: every
  * blocking call it makes has to carry a timeout and survive EINTR.
  * Instead of auditing that discipline at every call site, the serve
- * layer funnels all raw read/write/poll/accept/connect/waitpid use
+ * layer funnels all raw recv/send/poll/waitpid use
  * through this file, and mopac_lint (check `serve-timeout`) flags any
  * raw blocking syscall elsewhere in serve code -- the same pattern as
  * the wallclock shim for host time (check `det-clock`).
@@ -13,7 +13,7 @@
  * Conventions:
  *  - Timeouts are in fractional seconds; a negative timeout means
  *    "wait forever" and is reserved for callers that have their own
- *    watchdog (the daemon's top-level poll loop).
+ *    watchdog.
  *  - Every wrapper retries EINTR internally.
  *  - Writes use MSG_NOSIGNAL, so a dead peer yields EPIPE instead of
  *    killing the process; no SIGPIPE handler is needed.
@@ -54,13 +54,7 @@ enum class IoStatus
 const char *toString(IoStatus status);
 
 /**
- * Wait up to @p timeout_sec for @p fd to become readable.  Returns
- * kOk / kTimeout; throws IoError on poll failure.
- */
-IoStatus waitReadable(int fd, double timeout_sec);
-
-/**
- * Wait for readability on many fds at once (the daemon's top-level
+ * Wait for readability on many fds at once (the supervisor's
  * event loop).  @p fds may contain -1 entries (ignored).  Returns the
  * indices of @p fds that are readable or hung up; an empty result
  * means the timeout expired.  @p timeout_sec < 0 waits forever --
@@ -81,34 +75,6 @@ IoStatus readExact(int fd, std::uint8_t *out, std::size_t size,
 /** Write all of @p data (MSG_NOSIGNAL; kPeerClosed on EPIPE). */
 IoStatus writeAll(int fd, const std::uint8_t *data, std::size_t size,
                   double timeout_sec);
-
-/**
- * Create a listening Unix-domain socket at @p path (unlinking any
- * stale socket file first -- single-instance locking is the caller's
- * job).  Throws IoError on failure.
- */
-int listenUnix(const std::string &path);
-
-/**
- * Accept one pending connection on @p listen_fd, waiting up to
- * @p timeout_sec.  Returns the connected fd, or -1 on timeout.
- */
-int acceptClient(int listen_fd, double timeout_sec);
-
-/**
- * Connect to the Unix-domain socket at @p path, waiting up to
- * @p timeout_sec.  Returns the connected fd, or -1 when the daemon is
- * not reachable (absent socket / refused / timeout) -- callers retry
- * with backoff; hard errors throw IoError.
- */
-int connectUnix(const std::string &path, double timeout_sec);
-
-/**
- * EINTR-proof bounded sleep (client/retry backoff).  Like the
- * wallclock shim, keeping the one sanctioned sleep here makes every
- * serve-layer delay greppable and auditable.
- */
-void sleepFor(double seconds);
 
 /** A connected SOCK_STREAM socketpair (supervisor end, worker end). */
 struct SocketPair
@@ -144,18 +110,10 @@ void closeQuiet(int fd);
 /**
  * Create directory @p path (one level, 0755); an existing directory
  * is fine.  Throws IoError otherwise.  The serve layer's sanctioned
- * mkdir -- daemon/cache state dirs go through here so no other serve
+ * mkdir -- checkpoint and cache dirs go through here so no other serve
  * file needs to read errno (mopac_lint check `io-errno`).
  */
 void ensureDir(const std::string &path);
-
-/**
- * Open (creating if needed) and flock(LOCK_EX | LOCK_NB) @p path.
- * Returns the held lock fd, or -1 when another process holds the
- * lock; throws IoError on real failure.  The fd is leaked for the
- * process lifetime by design: the lock must outlive any scope.
- */
-int lockFile(const std::string &path);
 
 // ------------------------------------------------------------------
 // Deterministic syscall-level fault injection (tests / chaos drills)
@@ -172,9 +130,7 @@ int lockFile(const std::string &path);
  * What each rate injects:
  *  - enospc_rate: atomicWriteFile throws SerializeError before any
  *    byte is written (via the common-layer write fault hook), i.e. a
- *    full disk for cache entries, journal records, and job specs.
- *  - emfile_rate: acceptClient sheds the pending connection as if
- *    accept() had failed with EMFILE (fd exhaustion).
+ *    full disk for cache entries, journal records, and checkpoints.
  *  - eintr_rate: readExact / writeAll skip one syscall iteration as
  *    if it had returned EINTR (their retry loops must converge).
  *  - short_write_rate: writeAll truncates one send() so the partial-
@@ -184,7 +140,6 @@ struct IoFaultConfig
 {
     std::uint64_t seed = 0; //!< 0 disables the shim entirely.
     double enospc_rate = 0.0;
-    double emfile_rate = 0.0;
     double eintr_rate = 0.0;
     double short_write_rate = 0.0;
 };
@@ -193,7 +148,6 @@ struct IoFaultConfig
 struct IoFaultStats
 {
     std::uint64_t enospc = 0;
-    std::uint64_t emfile = 0;
     std::uint64_t eintr = 0;
     std::uint64_t short_writes = 0;
 };

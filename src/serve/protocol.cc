@@ -17,17 +17,9 @@ namespace
 /** Section tags (serve-layer range, disjoint from journal tags). */
 constexpr std::uint32_t kTagConfig = 0x53434647; // 'SCFG'
 constexpr std::uint32_t kTagPointHdr = 0x53505448; // 'SPTH'
-constexpr std::uint32_t kTagPointList = 0x53505453; // 'SPTS'
 constexpr std::uint32_t kTagJobOpts = 0x534A4F50; // 'SJOP'
-constexpr std::uint32_t kTagCounts = 0x53435453; // 'SCTS'
 constexpr std::uint32_t kTagAssign = 0x5341474E; // 'SAGN'
 constexpr std::uint32_t kTagEvent = 0x53455654;  // 'SEVT'
-constexpr std::uint32_t kTagJobId = 0x534A4944; // 'SJID'
-constexpr std::uint32_t kTagStatus = 0x534A5354; // 'SJST'
-constexpr std::uint32_t kTagManifest = 0x534D414E; // 'SMAN'
-constexpr std::uint32_t kTagError = 0x53455252; // 'SERR'
-constexpr std::uint32_t kTagDaemon = 0x53444D4E; // 'SDMN'
-constexpr std::uint32_t kTagRetry = 0x53525441; // 'SRTA'
 
 std::uint8_t
 checkedEnum(std::uint64_t value, std::uint64_t max_value,
@@ -41,30 +33,6 @@ checkedEnum(std::uint64_t value, std::uint64_t max_value,
 }
 
 } // namespace
-
-const char *
-toString(JobPhase phase)
-{
-    switch (phase) {
-      case JobPhase::kUnknown: return "unknown";
-      case JobPhase::kRunning: return "running";
-      case JobPhase::kComplete: return "complete";
-      case JobPhase::kDegraded: return "degraded";
-    }
-    return "?";
-}
-
-const char *
-toString(PointSource source)
-{
-    switch (source) {
-      case PointSource::kPending: return "pending";
-      case PointSource::kFresh: return "fresh";
-      case PointSource::kCache: return "cache";
-      case PointSource::kQuarantine: return "quarantine";
-    }
-    return "?";
-}
 
 void
 saveSystemConfig(Serializer &ser, const SystemConfig &cfg)
@@ -242,42 +210,11 @@ loadPoint(Deserializer &des)
 }
 
 void
-savePoints(Serializer &ser,
-           const std::vector<ExperimentPoint> &points)
-{
-    ser.begin(kTagPointList);
-    ser.putU64(points.size());
-    ser.end();
-    for (const ExperimentPoint &point : points) {
-        savePoint(ser, point);
-    }
-}
-
-std::vector<ExperimentPoint>
-loadPoints(Deserializer &des)
-{
-    des.begin(kTagPointList);
-    const std::uint64_t count = des.getU64();
-    des.end();
-    if (count > (1ull << 24)) {
-        throw SerializeError(
-            format("implausible point count {}", count));
-    }
-    std::vector<ExperimentPoint> points;
-    points.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        points.push_back(loadPoint(des));
-    }
-    return points;
-}
-
-void
 saveJobOptions(Serializer &ser, const JobOptions &opts)
 {
     ser.begin(kTagJobOpts);
     ser.putU32(opts.fault_retries);
     ser.putU64(opts.point_max_cycles);
-    ser.putU8(opts.use_cache ? 1 : 0);
     ser.putU64(opts.checkpoint_every);
     ser.end();
 }
@@ -289,36 +226,9 @@ loadJobOptions(Deserializer &des)
     des.begin(kTagJobOpts);
     opts.fault_retries = des.getU32();
     opts.point_max_cycles = des.getU64();
-    opts.use_cache = des.getU8() != 0;
     opts.checkpoint_every = des.getU64();
     des.end();
     return opts;
-}
-
-void
-saveJobCounts(Serializer &ser, const JobCounts &counts)
-{
-    ser.begin(kTagCounts);
-    ser.putU64(counts.total);
-    ser.putU64(counts.done);
-    ser.putU64(counts.cached);
-    ser.putU64(counts.quarantined);
-    ser.putU64(counts.pending);
-    ser.end();
-}
-
-JobCounts
-loadJobCounts(Deserializer &des)
-{
-    JobCounts counts;
-    des.begin(kTagCounts);
-    counts.total = des.getU64();
-    counts.done = des.getU64();
-    counts.cached = des.getU64();
-    counts.quarantined = des.getU64();
-    counts.pending = des.getU64();
-    des.end();
-    return counts;
 }
 
 void
@@ -369,151 +279,6 @@ loadPointEvent(Deserializer &des)
     event.executed_cycles = des.getU64();
     des.end();
     return event;
-}
-
-void
-saveJobId(Serializer &ser, std::uint64_t job_id)
-{
-    ser.begin(kTagJobId);
-    ser.putU64(job_id);
-    ser.end();
-}
-
-std::uint64_t
-loadJobId(Deserializer &des)
-{
-    des.begin(kTagJobId);
-    const std::uint64_t job_id = des.getU64();
-    des.end();
-    return job_id;
-}
-
-void
-saveJobStatus(Serializer &ser, const JobStatus &status)
-{
-    ser.begin(kTagStatus);
-    ser.putU64(status.job_id);
-    ser.putU8(static_cast<std::uint8_t>(status.phase));
-    ser.end();
-    saveJobCounts(ser, status.counts);
-}
-
-JobStatus
-loadJobStatus(Deserializer &des)
-{
-    JobStatus status;
-    des.begin(kTagStatus);
-    status.job_id = des.getU64();
-    status.phase = static_cast<JobPhase>(checkedEnum(
-        des.getU8(),
-        static_cast<std::uint64_t>(JobPhase::kDegraded),
-        "job phase"));
-    des.end();
-    status.counts = loadJobCounts(des);
-    return status;
-}
-
-void
-saveManifest(Serializer &ser, const Manifest &manifest)
-{
-    saveJobStatus(ser, manifest.status);
-    ser.begin(kTagManifest);
-    ser.putU64(manifest.entries.size());
-    ser.end();
-    for (const ManifestEntry &entry : manifest.entries) {
-        ser.begin(kTagManifest);
-        ser.putU8(static_cast<std::uint8_t>(entry.source));
-        ser.end();
-        savePointResult(ser, entry.result);
-    }
-}
-
-Manifest
-loadManifest(Deserializer &des)
-{
-    Manifest manifest;
-    manifest.status = loadJobStatus(des);
-    des.begin(kTagManifest);
-    const std::uint64_t count = des.getU64();
-    des.end();
-    if (count > (1ull << 24)) {
-        throw SerializeError(
-            format("implausible manifest size {}", count));
-    }
-    manifest.entries.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        ManifestEntry entry;
-        des.begin(kTagManifest);
-        entry.source = static_cast<PointSource>(checkedEnum(
-            des.getU8(),
-            static_cast<std::uint64_t>(PointSource::kQuarantine),
-            "point source"));
-        des.end();
-        entry.result = loadPointResult(des);
-        manifest.entries.push_back(entry);
-    }
-    return manifest;
-}
-
-void
-saveErrorText(Serializer &ser, const std::string &text)
-{
-    ser.begin(kTagError);
-    ser.putStr(text);
-    ser.end();
-}
-
-std::string
-loadErrorText(Deserializer &des)
-{
-    des.begin(kTagError);
-    std::string text = des.getStr();
-    des.end();
-    return text;
-}
-
-void
-saveDaemonInfo(Serializer &ser, const DaemonInfo &info)
-{
-    ser.begin(kTagDaemon);
-    ser.putU32(info.protocol_version);
-    ser.putU64(info.daemon_pid);
-    ser.putU64(info.queue_depth);
-    ser.putU8(info.brownout ? 1 : 0);
-    ser.end();
-}
-
-DaemonInfo
-loadDaemonInfo(Deserializer &des)
-{
-    DaemonInfo info;
-    des.begin(kTagDaemon);
-    info.protocol_version = des.getU32();
-    info.daemon_pid = des.getU64();
-    info.queue_depth = des.getU64();
-    info.brownout = des.getU8() != 0;
-    des.end();
-    return info;
-}
-
-void
-saveRetryAfter(Serializer &ser, const RetryAfter &retry)
-{
-    ser.begin(kTagRetry);
-    ser.putF64(retry.seconds);
-    ser.putStr(retry.reason);
-    ser.end();
-}
-
-RetryAfter
-loadRetryAfter(Deserializer &des)
-{
-    RetryAfter retry;
-    des.begin(kTagRetry);
-    retry.seconds = des.getF64();
-    retry.reason = des.getStr();
-    des.end();
-    return retry;
 }
 
 std::vector<std::uint8_t>

@@ -1,9 +1,8 @@
 /**
  * @file
- * Wire protocol of the mopac_serve daemon.
+ * Wire protocol between the Supervisor and its forked workers.
  *
- * Every message -- client<->daemon and supervisor<->worker -- is one
- * length-prefixed frame:
+ * Every supervisor<->worker message is one length-prefixed frame:
  *
  *   +--------------------------------------------------------------+
  *   | u64 frame length N (little-endian)                           |
@@ -47,21 +46,7 @@ constexpr std::uint64_t kMaxFrameBytes = 1ull << 30;
 /** Message discriminator (carried in the envelope's hash field). */
 enum class MsgType : std::uint64_t
 {
-    // Client -> daemon.
-    kPing = 1,
-    kSubmit,      //!< Submit (or re-attach to) a sweep job.
-    kQuery,       //!< Job status by id.
-    kFetch,       //!< Fetch the (possibly partial) manifest.
-    kShutdown,    //!< Request a graceful daemon stop.
-
-    // Daemon -> client.
-    kPong = 50,
-    kSubmitAck,
-    kStatus,
-    kResults,
-    kShutdownAck,
-    kError,       //!< Structured failure (text payload).
-    kRetryAfter,  //!< Load shed: back off and resubmit later.
+    kError = 55,  //!< Placeholder type of a message not yet received.
 
     // Supervisor -> worker.
     kAssign = 100, //!< A chunk of points to execute.
@@ -77,39 +62,22 @@ enum class MsgType : std::uint64_t
     kPointPreempted,   //!< Point checkpointed and yielded on request.
 };
 
-/** Lifecycle of a job inside the daemon. */
-enum class JobPhase : std::uint8_t
-{
-    kUnknown,  //!< No such job.
-    kRunning,  //!< Points pending or in flight.
-    kComplete, //!< Every point finished OK (fresh or cached).
-    kDegraded, //!< Finished, but some points are quarantined.
-};
-
-/** Printable name of a job phase. */
-const char *toString(JobPhase phase);
-
-/** Where a manifest entry's result came from. */
+/** Where a supervised point's result came from. */
 enum class PointSource : std::uint8_t
 {
-    kPending,    //!< Not finished yet (partial manifests only).
-    kFresh,      //!< Simulated by this daemon for this job.
+    kPending,    //!< Not finished yet (a graceful stop cut it off).
+    kFresh,      //!< Simulated by a worker, or adopted from the journal.
     kCache,      //!< Served from the content-addressed result cache.
     kQuarantine, //!< Quarantined after exhausting its retries.
 };
 
-/** Printable name of a point source. */
-const char *toString(PointSource source);
-
-/** Per-job execution knobs carried alongside a submit. */
+/** Per-sweep execution knobs the supervisor forwards to its workers. */
 struct JobOptions
 {
     /** Runner fault_retries applied by the workers. */
     unsigned fault_retries = 0;
     /** Runner point_max_cycles applied by the workers. */
     std::uint64_t point_max_cycles = 0;
-    /** Serve OK results from / store them into the daemon cache. */
-    bool use_cache = true;
     /**
      * Checkpoint cadence in simulated cycles (0 = off).  With a
      * cadence and a supervisor checkpoint dir, workers snapshot the
@@ -118,24 +86,6 @@ struct JobOptions
      * last checkpoint instead of from zero.
      */
     std::uint64_t checkpoint_every = 0;
-};
-
-/** Aggregate job progress counters (kStatus payload). */
-struct JobCounts
-{
-    std::uint64_t total = 0;
-    std::uint64_t done = 0;        //!< OK results (fresh + cached).
-    std::uint64_t cached = 0;      //!< Subset of done served stale-free
-                                   //!< from the cache.
-    std::uint64_t quarantined = 0;
-    std::uint64_t pending = 0;     //!< Not yet finished.
-};
-
-/** One manifest row: a result plus where it came from. */
-struct ManifestEntry
-{
-    PointSource source = PointSource::kPending;
-    PointResult result;
 };
 
 /** One chunk assignment (kAssign payload). */
@@ -182,45 +132,8 @@ struct PointEvent
     std::uint64_t executed_cycles = 0;
 };
 
-/** Daemon identity + health (kPong payload). */
-struct DaemonInfo
-{
-    /** Serialize/protocol format version of the daemon's build. */
-    std::uint32_t protocol_version = kSerializeVersion;
-    std::uint64_t daemon_pid = 0;
-    /** Admission bound on queued+running jobs (0 = unbounded). */
-    std::uint64_t queue_depth = 0;
-    /** True while storage writes are failing (degraded serving). */
-    bool brownout = false;
-};
-
-/** Load-shed response (kRetryAfter payload). */
-struct RetryAfter
-{
-    /** Suggested client backoff before resubmitting. */
-    double seconds = 1.0;
-    /** Human-readable shed reason ("queue full", "brownout", ...). */
-    std::string reason;
-};
-
-/** Job identity + progress (kSubmitAck / kStatus payloads). */
-struct JobStatus
-{
-    std::uint64_t job_id = 0;
-    JobPhase phase = JobPhase::kUnknown;
-    JobCounts counts;
-};
-
-/** A (possibly partial) sweep manifest (kResults payload). */
-struct Manifest
-{
-    JobStatus status;
-    /** One entry per submitted point, in submission order. */
-    std::vector<ManifestEntry> entries;
-};
-
 // ------------------------------------------------------------------
-// Field codecs (shared by frames, job specs, and cache entries)
+// Field codecs
 // ------------------------------------------------------------------
 
 /** Serialize a full SystemConfig (including its fault plan). */
@@ -239,24 +152,11 @@ void savePoint(Serializer &ser, const ExperimentPoint &point);
 /** Restore an ExperimentPoint saved by savePoint(). */
 ExperimentPoint loadPoint(Deserializer &des);
 
-/** Serialize a point list (job specs, kSubmit payloads). */
-void savePoints(Serializer &ser,
-                const std::vector<ExperimentPoint> &points);
-
-/** Restore a point list saved by savePoints(). */
-std::vector<ExperimentPoint> loadPoints(Deserializer &des);
-
 /** Serialize JobOptions. */
 void saveJobOptions(Serializer &ser, const JobOptions &opts);
 
 /** Restore JobOptions. */
 JobOptions loadJobOptions(Deserializer &des);
-
-/** Serialize JobCounts. */
-void saveJobCounts(Serializer &ser, const JobCounts &counts);
-
-/** Restore JobCounts. */
-JobCounts loadJobCounts(Deserializer &des);
 
 /** Serialize an Assignment. */
 void saveAssignment(Serializer &ser, const Assignment &assignment);
@@ -269,42 +169,6 @@ void savePointEvent(Serializer &ser, const PointEvent &event);
 
 /** Restore a PointEvent. */
 PointEvent loadPointEvent(Deserializer &des);
-
-/** Serialize a bare job id (kQuery / kFetch payloads). */
-void saveJobId(Serializer &ser, std::uint64_t job_id);
-
-/** Restore a bare job id. */
-std::uint64_t loadJobId(Deserializer &des);
-
-/** Serialize a JobStatus. */
-void saveJobStatus(Serializer &ser, const JobStatus &status);
-
-/** Restore a JobStatus. */
-JobStatus loadJobStatus(Deserializer &des);
-
-/** Serialize a Manifest (status + per-point entries). */
-void saveManifest(Serializer &ser, const Manifest &manifest);
-
-/** Restore a Manifest. */
-Manifest loadManifest(Deserializer &des);
-
-/** Serialize a kError text payload. */
-void saveErrorText(Serializer &ser, const std::string &text);
-
-/** Restore a kError text payload. */
-std::string loadErrorText(Deserializer &des);
-
-/** Serialize a DaemonInfo (kPong payload). */
-void saveDaemonInfo(Serializer &ser, const DaemonInfo &info);
-
-/** Restore a DaemonInfo. */
-DaemonInfo loadDaemonInfo(Deserializer &des);
-
-/** Serialize a RetryAfter (kRetryAfter payload). */
-void saveRetryAfter(Serializer &ser, const RetryAfter &retry);
-
-/** Restore a RetryAfter. */
-RetryAfter loadRetryAfter(Deserializer &des);
 
 // ------------------------------------------------------------------
 // Framing
@@ -324,7 +188,7 @@ std::vector<std::uint8_t> sealFrame(const Serializer &ser,
 IoStatus sendMessage(int fd, const Serializer &ser, MsgType type,
                      double timeout_sec);
 
-/** Convenience: a message with an empty payload (kPing, kRetire...). */
+/** Convenience: a message with an empty payload (kRetire, kHeartbeat...). */
 IoStatus sendEmptyMessage(int fd, MsgType type, double timeout_sec);
 
 /** A received, envelope-validated message. */

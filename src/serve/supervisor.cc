@@ -52,42 +52,6 @@ SupervisorReport::exitCode() const
     return sweepExitCode(results);
 }
 
-JobCounts
-SupervisorReport::counts() const
-{
-    JobCounts counts;
-    counts.total = sources.size();
-    for (PointSource source : sources) {
-        switch (source) {
-          case PointSource::kPending:
-            ++counts.pending;
-            break;
-          case PointSource::kFresh:
-            ++counts.done;
-            break;
-          case PointSource::kCache:
-            ++counts.done;
-            ++counts.cached;
-            break;
-          case PointSource::kQuarantine:
-            ++counts.quarantined;
-            break;
-        }
-    }
-    return counts;
-}
-
-JobPhase
-SupervisorReport::phase() const
-{
-    const JobCounts c = counts();
-    if (c.pending > 0) {
-        return JobPhase::kRunning;
-    }
-    return c.quarantined > 0 ? JobPhase::kDegraded
-                             : JobPhase::kComplete;
-}
-
 Supervisor::Supervisor(SupervisorOptions opts) : opts_(std::move(opts))
 {
     if (opts_.workers == 0) {
@@ -137,17 +101,13 @@ Supervisor::spawnWorker(Slot &slot)
         throw IoError("fork failed");
     }
     if (pid == 0) {
-        // Worker child: drop every supervisor-side fd, run any
-        // embedder teardown (the daemon closes its sockets here),
-        // then serve assignments until retired.  _exit, never
-        // return: a forked child must not unwind gtest / atexit
-        // state it shares with the parent image.
+        // Worker child: drop every supervisor-side fd, then serve
+        // assignments until retired.  _exit, never return: a forked
+        // child must not unwind gtest / atexit state it shares with
+        // the parent image.
         closeQuiet(pair.supervisor_fd);
         for (const Slot &other : slots_) {
             closeQuiet(other.fd);
-        }
-        if (child_setup_) {
-            child_setup_();
         }
         ::_exit(workerMain(pair.worker_fd, opts_.heartbeat_sec));
     }
@@ -223,12 +183,11 @@ void
 Supervisor::resolveFresh(std::size_t index, const PointResult &result)
 {
     const ExperimentPoint &point = (*points_)[index];
-    // Cache before journal: a daemon killed between the two writes
-    // leaves a cached point the restart answers from the cache.  The
-    // other order leaves a journaled point that is never cached, so a
-    // later identical job re-simulates it.
-    if (cache_ && opts_.job.use_cache &&
-        result.status == PointStatus::kOk) {
+    // Cache before journal: a supervisor killed between the two
+    // writes leaves a cached point the rerun answers from the cache.
+    // The other order leaves a journaled point that is never cached,
+    // so a later identical sweep re-simulates it.
+    if (cache_ && result.status == PointStatus::kOk) {
         try {
             cache_->store(point, result);
         } catch (const std::exception &err) {
@@ -589,7 +548,7 @@ Supervisor::retireWorkers(bool force)
 
 SupervisorReport
 Supervisor::run(const std::vector<ExperimentPoint> &points,
-                const ProgressFn &progress, const PumpFn &pump)
+                const ProgressFn &progress)
 {
     SupervisorReport report;
     report.results = SweepJournal::adopt(journal_, points);
@@ -617,7 +576,7 @@ Supervisor::run(const std::vector<ExperimentPoint> &points,
             resolve(i, adopted, PointSource::kFresh);
             continue;
         }
-        if (cache_ && opts_.job.use_cache) {
+        if (cache_) {
             if (auto cached = cache_->lookup(points[i])) {
                 ++report.cache_hits;
                 journalRecord(*cached);
@@ -723,10 +682,6 @@ Supervisor::run(const std::vector<ExperimentPoint> &points,
                 slot.hang_killed = true;
                 killWorker(slot);
             }
-        }
-
-        if (pump) {
-            pump();
         }
     }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Worker-process supervision: the self-healing heart of mopac_serve.
+ * Worker-process supervision: process-isolated, self-healing sweeps.
  *
  * The Supervisor shards a point list across fork()ed worker processes
  * and keeps the sweep alive through every worker-side failure mode:
@@ -28,16 +28,21 @@
  * worker SIGKILL is bit-identical to a clean first run -- the final
  * manifest of a chaos-ridden sweep equals the clean serial one.
  *
+ * Storage failures (journal or cache writes) are tolerated as a
+ * brownout: the result stays in memory and the failure is counted.
+ * A checkpoint directory adds preemption: workers snapshot each
+ * interval, so a preempted or killed point resumes mid-stream.
+ *
  * The supervisor is single-threaded (poll-based event loop), which
- * keeps fork() safe under TSAN and makes it embeddable: the daemon
- * pumps its client sockets from the per-tick callback.
+ * keeps fork() safe under TSAN.  Callers are perfbench's
+ * served_sweep and bench/chaos_soak; the bench drivers run their
+ * sweeps in-process on the Runner.
  */
 
 #ifndef MOPAC_SERVE_SUPERVISOR_HH
 #define MOPAC_SERVE_SUPERVISOR_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -169,10 +174,6 @@ struct SupervisorReport
 
     /** Exit code per the shared map in sim/stop.hh. */
     int exitCode() const;
-    /** Aggregate progress counters. */
-    JobCounts counts() const;
-    /** Job phase implied by the counters. */
-    JobPhase phase() const;
 };
 
 /** Shards points over supervised worker processes; see file comment. */
@@ -180,8 +181,6 @@ class Supervisor
 {
   public:
     using ProgressFn = Runner::ProgressFn;
-    /** Called once per event-loop tick (daemon client pumping). */
-    using PumpFn = std::function<void()>;
 
     explicit Supervisor(SupervisorOptions opts);
     ~Supervisor();
@@ -194,15 +193,6 @@ class Supervisor
 
     /** Serve/store OK results via @p cache (borrowed; may be null). */
     void setCache(ResultCache *cache) { cache_ = cache; }
-
-    /**
-     * Run extra teardown in each forked worker before its main loop
-     * (the daemon closes its listener and client sockets here).
-     */
-    void setChildSetup(std::function<void()> fn)
-    {
-        child_setup_ = std::move(fn);
-    }
 
     /**
      * Inject a deterministic failure schedule: when the mapped
@@ -226,19 +216,10 @@ class Supervisor
 
     /**
      * Execute the sweep to completion (or graceful stop).  @p progress
-     * fires once per resolved point from this thread; @p pump fires
-     * once per event-loop tick.
+     * fires once per resolved point from this thread.
      */
     SupervisorReport run(const std::vector<ExperimentPoint> &points,
-                         const ProgressFn &progress = nullptr,
-                         const PumpFn &pump = nullptr);
-
-    /**
-     * The in-progress report while run() is live (null otherwise).
-     * Single-threaded: only valid from progress/pump callbacks.  The
-     * daemon serves partial manifests and status queries from this.
-     */
-    const SupervisorReport *liveReport() const { return report_; }
+                         const ProgressFn &progress = nullptr);
 
   private:
     struct Slot;
@@ -266,7 +247,6 @@ class Supervisor
     SupervisorOptions opts_;
     SweepJournal *journal_ = nullptr;
     ResultCache *cache_ = nullptr;
-    std::function<void()> child_setup_;
     std::map<std::pair<std::uint64_t, std::uint32_t>, FailAction>
         fail_schedule_;
 

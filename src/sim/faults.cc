@@ -6,6 +6,8 @@
 
 #include "faults.hh"
 
+#include <limits>
+
 #include "common/config.hh"
 #include "common/format.hh"
 #include "common/log.hh"
@@ -110,7 +112,8 @@ FaultPlan::fromConfig(const Config &conf)
         } else if (attr == "cycles") {
             s.duration = conf.getUint(key);
         } else if (attr == "chip") {
-            s.chip = static_cast<unsigned>(conf.getUint(key));
+            s.chip = static_cast<unsigned>(conf.getUint(
+                key, 0, std::numeric_limits<std::uint32_t>::max()));
         } else {
             fatal("unknown fault attribute '{}' in config key '{}' "
                   "(attributes: at, cycles, chip)",

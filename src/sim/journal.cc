@@ -5,7 +5,6 @@
 
 #include "journal.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -244,7 +243,6 @@ SweepJournal::loadCompleted(std::size_t num_points)
                     "belong in points/)", path,
                     toString(result.status)));
             }
-            noteRecord(id, /*quarantine=*/false, image.size());
             completed_.emplace(id, std::move(result));
         } catch (const SerializeError &err) {
             warn("journal: healing corrupt record {}: {}", path,
@@ -256,52 +254,6 @@ SweepJournal::loadCompleted(std::size_t num_points)
             ++healed_;
         }
     }
-}
-
-void
-SweepJournal::noteRecord(std::uint64_t point_id, bool quarantine,
-                         std::uint64_t bytes)
-{
-    const auto it = std::find_if(
-        record_order_.begin(), record_order_.end(),
-        [point_id, quarantine](const RecordNote &note) {
-            return note.point_id == point_id &&
-                   note.quarantine == quarantine;
-        });
-    if (it != record_order_.end()) {
-        record_bytes_ -= it->bytes;
-        record_order_.erase(it);
-    }
-    record_order_.push_back({point_id, quarantine, bytes});
-    record_bytes_ += bytes;
-}
-
-void
-SweepJournal::evictRecords()
-{
-    if (record_budget_ == 0) {
-        return;
-    }
-    while (record_bytes_ > record_budget_ && !record_order_.empty()) {
-        const RecordNote note = record_order_.front();
-        record_order_.pop_front();
-        const std::string path = note.quarantine
-                                     ? quarantinePath(note.point_id)
-                                     : pointPath(note.point_id);
-        if (std::remove(path.c_str()) != 0) {
-            warn("journal: cannot evict record {}", path);
-        }
-        record_bytes_ -= note.bytes;
-        ++record_evictions_;
-    }
-}
-
-void
-SweepJournal::setRecordBudget(std::uint64_t bytes)
-{
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    record_budget_ = bytes;
-    evictRecords();
 }
 
 SweepJournal::SweepJournal(std::string dir,
@@ -351,12 +303,10 @@ SweepJournal::record(const PointResult &result)
     const std::vector<std::uint8_t> image =
         ser.finish(FileKind::kPointRecord, hash_);
     std::lock_guard<std::mutex> lock(write_mutex_);
-    const bool quarantine = result.status != PointStatus::kOk;
-    atomicWriteFile(quarantine ? quarantinePath(result.point_id)
-                               : pointPath(result.point_id),
+    atomicWriteFile(result.status == PointStatus::kOk
+                        ? pointPath(result.point_id)
+                        : quarantinePath(result.point_id),
                     image);
-    noteRecord(result.point_id, quarantine, image.size());
-    evictRecords();
 }
 
 } // namespace mopac

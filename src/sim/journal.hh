@@ -30,7 +30,6 @@
 #define MOPAC_SIM_JOURNAL_HH
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -102,50 +101,20 @@ class SweepJournal
      */
     void record(const PointResult &result);
 
-    /**
-     * Bound the on-disk footprint of point + quarantine records (0 =
-     * unbounded, the default).  When over budget, the oldest-recorded
-     * .rec files are deleted, oldest-insertion-first; the manifest
-     * and any in-memory results are kept, and an evicted point simply
-     * re-runs on a later resume.  Thread-safe.
-     */
-    void setRecordBudget(std::uint64_t bytes);
-
-    /** Current on-disk footprint of live records, bytes. */
-    std::uint64_t recordBytes() const { return record_bytes_; }
-
-    /** Records evicted to stay within budget. */
-    std::uint64_t recordEvictions() const { return record_evictions_; }
-
     /** Records healed (renamed *.corrupt) while loading. */
     std::uint64_t healed() const { return healed_; }
 
   private:
-    /** One accounted .rec file, in recording order. */
-    struct RecordNote
-    {
-        std::uint64_t point_id = 0;
-        bool quarantine = false;
-        std::uint64_t bytes = 0;
-    };
-
     std::string pointPath(std::uint64_t point_id) const;
     std::string quarantinePath(std::uint64_t point_id) const;
     void writeManifest(std::size_t num_points) const;
     void verifyManifest(const std::vector<std::uint8_t> &image,
                         std::size_t num_points) const;
     void loadCompleted(std::size_t num_points);
-    void noteRecord(std::uint64_t point_id, bool quarantine,
-                    std::uint64_t bytes);
-    void evictRecords();
 
     std::string dir_;
     std::uint64_t hash_;
     std::map<std::uint64_t, PointResult> completed_;
-    std::deque<RecordNote> record_order_;
-    std::uint64_t record_budget_ = 0;
-    std::uint64_t record_bytes_ = 0;
-    std::uint64_t record_evictions_ = 0;
     std::uint64_t healed_ = 0;
     std::mutex write_mutex_;
 };

@@ -157,6 +157,32 @@ TEST(ConfigDeathTest, TypeErrorsAreFatal)
     c.parseLine("negative = -1");
     EXPECT_EXIT((void)c.getUint("negative"), ::testing::ExitedWithCode(1),
                 "not an unsigned integer");
+    // Past 2^64 - 1 is an overflow, not a clamp to 2^64 - 1.
+    c.parseLine("huge = 99999999999999999999");
+    EXPECT_EXIT((void)c.getUint("huge"), ::testing::ExitedWithCode(1),
+                "not an unsigned integer");
+    c.parseLine("huge_hex = 0x1ffffffffffffffff");
+    EXPECT_EXIT((void)c.getUint("huge_hex"),
+                ::testing::ExitedWithCode(1), "not an unsigned integer");
+    // A value past the caller's field width is fatal, not narrowed.
+    c.parseLine("wide = 4294967297");
+    EXPECT_EXIT((void)c.getUint("wide", 0, 0xffffffffu),
+                ::testing::ExitedWithCode(1), "not an unsigned integer");
+}
+
+TEST(Config, UintAcceptsEveryBaseUpToItsBound)
+{
+    Config c;
+    c.parseLine("dec = 18446744073709551615");
+    c.parseLine("hex = 0x1F");
+    c.parseLine("oct = 017");
+    c.parseLine("zero = 0");
+    c.parseLine("edge = 4294967295");
+    EXPECT_EQ(c.getUint("dec"), 18446744073709551615ull);
+    EXPECT_EQ(c.getUint("hex"), 31u);
+    EXPECT_EQ(c.getUint("oct"), 15u);
+    EXPECT_EQ(c.getUint("zero"), 0u);
+    EXPECT_EQ(c.getUint("edge", 0, 0xffffffffu), 0xffffffffu);
 }
 
 } // namespace

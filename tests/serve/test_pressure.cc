@@ -1,33 +1,25 @@
 /**
  * @file
  * Resource-pressure tests: the syscall fault shim (deterministic
- * ENOSPC / EMFILE / EINTR / short-write injection), budgeted cache
- * eviction, brownout (storage failures tolerated, results served
- * from memory), checkpointed preemption with zero-rework resume, the
- * client's kRetryAfter handling, and daemon admission control.
+ * ENOSPC / EINTR / short-write injection), budgeted cache eviction,
+ * brownout (storage failures tolerated, results served from memory),
+ * and checkpointed preemption with zero-rework resume.
  *
- * Threaded fake servers never fork, and forking tests never run with
- * live threads, so the whole file is clean under ThreadSanitizer.
+ * Threaded socketpair tests never fork, and forking tests never run
+ * with live threads, so the whole file is clean under
+ * ThreadSanitizer.
  */
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "common/serialize.hh"
 #include "serve/cache.hh"
-#include "serve/client.hh"
-#include "serve/daemon.hh"
 #include "serve/io.hh"
 #include "serve/supervisor.hh"
 #include "sim/experiment.hh"
@@ -177,34 +169,6 @@ TEST(IoFaultShim, InjectionSequenceIsDeterministic)
     EXPECT_GT(first.eintr + first.short_writes, 0u);
     EXPECT_EQ(first.eintr, second.eintr);
     EXPECT_EQ(first.short_writes, second.short_writes);
-}
-
-TEST(IoFaultShim, EmfileAcceptShedsAndRecovers)
-{
-    // Injected EMFILE must shed the accept (return -1, no throw)
-    // while leaving the connection queued in the backlog, exactly
-    // like the real fd-exhaustion path; once pressure eases the
-    // next accept serves it.
-    const std::string path =
-        ::testing::TempDir() + "mopac_pressure_emfile.sock";
-    const int listen_fd = listenUnix(path);
-    const int client_fd = connectUnix(path, 1.0);
-    ASSERT_GE(client_fd, 0);
-
-    {
-        IoFaultConfig config;
-        config.seed = 9;
-        config.emfile_rate = 1.0;
-        ShimGuard shim(config);
-        EXPECT_EQ(acceptClient(listen_fd, 1.0), -1);
-        EXPECT_GE(ioFaultShimStats().emfile, 1u);
-    }
-    const int served = acceptClient(listen_fd, 1.0);
-    EXPECT_GE(served, 0);
-    closeQuiet(served);
-    closeQuiet(client_fd);
-    closeQuiet(listen_fd);
-    ::unlink(path.c_str());
 }
 
 TEST(IoFaultShim, EnospcFailsAtomicWritesWithoutTornFiles)
@@ -515,172 +479,6 @@ TEST(SupervisorPreempt, GracefulStopThenResumeMatchesCleanRun)
         EXPECT_EQ(canonicalBytes(full.results[i]),
                   canonicalBytes(fix.clean[i]));
     }
-}
-
-// ------------------------------------------------------------------
-// Client-side shed handling (threaded fake daemon, no forks)
-// ------------------------------------------------------------------
-
-/** One-connection fake daemon: answer each request from a script. */
-void
-serveScript(int listen_fd,
-            const std::vector<std::pair<MsgType, RetryAfter>> &script)
-{
-    const int fd = acceptClient(listen_fd, 30.0);
-    ASSERT_GE(fd, 0);
-    for (const auto &[type, retry] : script) {
-        const ReceivedMessage msg = recvMessage(fd, 30.0);
-        if (msg.status != IoStatus::kOk) {
-            break; // client gave up (bounded-budget scenario)
-        }
-        Serializer reply;
-        if (type == MsgType::kRetryAfter) {
-            saveRetryAfter(reply, retry);
-        } else if (type == MsgType::kPong) {
-            saveDaemonInfo(reply, DaemonInfo{});
-        }
-        ASSERT_EQ(sendMessage(fd, reply, type, 30.0), IoStatus::kOk);
-    }
-    closeQuiet(fd);
-}
-
-TEST(ClientPressure, RetryAfterIsRetriedUntilTheDaemonRecovers)
-{
-    const std::string path =
-        ::testing::TempDir() + "mopac_pressure_shed.sock";
-    const int listen_fd = listenUnix(path);
-    const RetryAfter shed{0.02, "queue full (test)"};
-    std::thread server(serveScript, listen_fd,
-                       std::vector<std::pair<MsgType, RetryAfter>>{
-                           {MsgType::kRetryAfter, shed},
-                           {MsgType::kRetryAfter, shed},
-                           {MsgType::kPong, RetryAfter{}},
-                       });
-
-    ClientOptions copts;
-    copts.socket_path = path;
-    copts.reconnect_budget_sec = 30.0;
-    Client client(copts);
-    // Two sheds, then served: ping succeeds without surfacing them.
-    EXPECT_TRUE(client.ping().has_value());
-    server.join();
-    closeQuiet(listen_fd);
-    ::unlink(path.c_str());
-}
-
-TEST(ClientPressure, PersistentSheddingFailsAtTheBudget)
-{
-    const std::string path =
-        ::testing::TempDir() + "mopac_pressure_shed2.sock";
-    const int listen_fd = listenUnix(path);
-    const RetryAfter shed{0.02, "brownout (test)"};
-    std::thread server(serveScript, listen_fd,
-                       std::vector<std::pair<MsgType, RetryAfter>>(
-                           64, {MsgType::kRetryAfter, shed}));
-
-    ClientOptions copts;
-    copts.socket_path = path;
-    copts.reconnect_budget_sec = 0.3;
-    {
-        Client client(copts);
-        // A daemon that never stops shedding is as unreachable as a
-        // dead one: the shed budget shares the reconnect budget.
-        try {
-            (void)client.submit(tinySweep(), JobOptions{});
-            FAIL() << "submit should have exhausted the shed budget";
-        } catch (const ClientError &err) {
-            EXPECT_NE(std::string(err.what()).find("shedding"),
-                      std::string::npos)
-                << err.what();
-        }
-        // The client destructor closes its socket here, which ends
-        // the server thread's blocking recvMessage with kPeerClosed.
-    }
-    server.join();
-    closeQuiet(listen_fd);
-    ::unlink(path.c_str());
-}
-
-// ------------------------------------------------------------------
-// Daemon admission control (forked daemon, no live threads)
-// ------------------------------------------------------------------
-
-TEST(DaemonPressure, QueueDepthShedsNewJobsButReattachesKnownOnes)
-{
-    sweepstop::reset();
-    const std::string dir = freshDir("admission");
-    const std::string socket = dir + "/daemon.sock";
-    ensureDir(dir);
-
-    DaemonOptions opts;
-    opts.socket_path = socket;
-    opts.state_dir = dir + "/state";
-    opts.queue_depth = 1;
-    opts.supervision = fastOptions(1);
-
-    const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        // Daemon child: serve until shutdown.  _exit keeps gtest
-        // teardown from running twice.
-        try {
-            Daemon daemon(std::move(opts));
-            ::_exit(daemon.serve());
-        } catch (...) {
-            ::_exit(66);
-        }
-    }
-
-    // Job A must outlive the impatient client's whole shed budget
-    // (two retries at 0.2s); several seconds of simulation leaves a
-    // wide margin.
-    const std::vector<ExperimentPoint> job_a = tinySweep(500000);
-    const std::vector<ExperimentPoint> job_b = tinySweep(3000);
-
-    ClientOptions copts;
-    copts.socket_path = socket;
-    copts.reconnect_budget_sec = 30.0;
-    Client client(copts);
-
-    const std::optional<DaemonInfo> info = client.ping();
-    ASSERT_TRUE(info.has_value());
-    EXPECT_EQ(info->daemon_pid, static_cast<std::uint64_t>(pid));
-    EXPECT_EQ(info->queue_depth, 1u);
-    EXPECT_FALSE(info->brownout);
-
-    const JobStatus ack_a = client.submit(job_a, JobOptions{});
-    EXPECT_NE(ack_a.job_id, 0u);
-    // Re-attaching to the SAME job is always admitted...
-    const JobStatus again = client.submit(job_a, JobOptions{});
-    EXPECT_EQ(again.job_id, ack_a.job_id);
-
-    // ...but a NEW job past the depth is shed until the budget runs
-    // out.
-    ClientOptions bounded = copts;
-    bounded.reconnect_budget_sec = 0.5;
-    Client impatient(bounded);
-    try {
-        (void)impatient.submit(job_b, JobOptions{});
-        FAIL() << "new job should have been shed at queue_depth=1";
-    } catch (const ClientError &err) {
-        EXPECT_NE(std::string(err.what()).find("shedding"),
-                  std::string::npos)
-            << err.what();
-    }
-
-    client.requestShutdown();
-    int status = 0;
-    // Blocking on the child daemon's exit is the point of this wait
-    // (the shutdown was just acknowledged, so it is bounded).
-    // mopac-lint: allow(serve-timeout)
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status));
-    // 0 when job A finished before the shutdown landed,
-    // kResumableExit when the stop cut it off -- both are clean
-    // exits; anything else (66 = daemon threw) is a failure.
-    const int code = WEXITSTATUS(status);
-    EXPECT_TRUE(code == 0 || code == sweepstop::kResumableExit)
-        << "daemon exit code " << code;
 }
 
 } // namespace

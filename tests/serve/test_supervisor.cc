@@ -180,7 +180,13 @@ TEST(SupervisorRetry, MaxStrikesQuarantinesThePoint)
     EXPECT_EQ(report.results[1].status, PointStatus::kFailed);
     EXPECT_EQ(report.results[1].attempts, 2u);
     EXPECT_EQ(report.exitCode(), sweepstop::kQuarantinedExit);
-    EXPECT_EQ(report.phase(), JobPhase::kDegraded);
+    // Finished but degraded: nothing pending, exactly one quarantine.
+    EXPECT_EQ(std::count(report.sources.begin(), report.sources.end(),
+                         PointSource::kPending),
+              0);
+    EXPECT_EQ(std::count(report.sources.begin(), report.sources.end(),
+                         PointSource::kQuarantine),
+              1);
     // The other points are untouched by the neighbour's quarantine.
     for (std::size_t i : {0u, 2u, 3u}) {
         EXPECT_EQ(report.results[i].status, PointStatus::kOk);

@@ -194,6 +194,27 @@ TEST(Journal, PointResultRoundTripsThroughTheContainer)
     EXPECT_EQ(loaded.run.cycles, result.run.cycles);
     EXPECT_EQ(loaded.run.acts, result.run.acts);
     EXPECT_EQ(loaded.run.rbhr, result.run.rbhr);
+
+    // A quarantine record: failure status, error text and the kHung
+    // outcome of a hang-killed worker all survive the container.
+    PointResult hung;
+    hung.point_id = 18;
+    hung.status = PointStatus::kFailed;
+    hung.seed = 99;
+    hung.attempts = 3;
+    hung.outcome = OutcomeClass::kHung;
+    hung.error = "worker hung on all 3 attempts; quarantined";
+    Serializer ser2;
+    savePointResult(ser2, hung);
+    Deserializer des2(ser2.finish(FileKind::kPointRecord, 7),
+                      FileKind::kPointRecord, 7);
+    const PointResult back = loadPointResult(des2);
+    des2.finish();
+    EXPECT_EQ(back.point_id, hung.point_id);
+    EXPECT_EQ(back.status, PointStatus::kFailed);
+    EXPECT_EQ(back.attempts, hung.attempts);
+    EXPECT_EQ(back.outcome, OutcomeClass::kHung);
+    EXPECT_EQ(back.error, hung.error);
 }
 
 TEST(Journal, CompletesAndThenResumesWithNothingToDo)
@@ -328,7 +349,7 @@ TEST(Journal, HealsACorruptPointRecordByReRunningIt)
 
 TEST(Journal, HealsATornTailRecordAtEveryTruncationOffset)
 {
-    // A torn final record -- the daemon died mid-write, leaving a
+    // A torn final record -- the process died mid-write, leaving a
     // prefix of the point record -- must heal to "re-run the last
     // point" at EVERY truncation offset, never corrupt the manifest
     // or the other records.  One-point sweep keeps the loop cheap.
@@ -364,44 +385,6 @@ TEST(Journal, HealsATornTailRecordAtEveryTruncationOffset)
     EXPECT_EQ(again.executed, 1u);
     expectSameStats(Runner::mergeStats(first.results),
                     Runner::mergeStats(again.results));
-}
-
-TEST(Journal, RecordBudgetEvictsOldestRecordsFirst)
-{
-    sweepstop::reset();
-    const auto points = samplePoints();
-    const std::string dir = freshDir("budget");
-    RunnerOptions opts;
-    opts.jobs = 1;
-    const JournaledSweepResult first =
-        Runner(opts).runJournaled(points, dir);
-    ASSERT_TRUE(first.complete());
-
-    std::uint64_t evicted = 0;
-    {
-        SweepJournal journal(dir, points);
-        const std::uint64_t full = journal.recordBytes();
-        ASSERT_GT(full, 0u);
-        // Budget for roughly half the records: the OLDEST-recorded
-        // files go first (ids ascend on load), the newest survive.
-        journal.setRecordBudget(full / 2);
-        evicted = journal.recordEvictions();
-        EXPECT_GT(evicted, 0u);
-        EXPECT_LE(journal.recordBytes(), full / 2);
-        EXPECT_FALSE(fileExists(dir + "/points/0.rec"));
-        EXPECT_TRUE(fileExists(
-            dir + "/points/" + std::to_string(points.size() - 1) +
-            ".rec"));
-    }
-
-    // Evicted points simply re-run on resume; results stay identical.
-    const JournaledSweepResult second =
-        Runner(opts).runJournaled(points, dir);
-    EXPECT_TRUE(second.complete());
-    EXPECT_EQ(second.executed, evicted);
-    EXPECT_EQ(second.reused, points.size() - evicted);
-    expectSameStats(Runner::mergeStats(first.results),
-                    Runner::mergeStats(second.results));
 }
 
 TEST(Journal, RejectsATruncatedManifest)

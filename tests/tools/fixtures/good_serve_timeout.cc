@@ -7,13 +7,12 @@ namespace mopac::serve
 {
 void readExact(int fd, void *buf, unsigned long len, double timeout);
 void writeAll(int fd, const void *buf, unsigned long len);
-bool waitReadable(int fd, double timeout_sec);
+bool waitAnyReadable(const int *fds, double timeout_sec);
 struct ChildStatus
 {
     bool exited = false;
 };
 ChildStatus reapChild(int pid);
-void sleepFor(double seconds);
 } // namespace mopac::serve
 
 struct Frame
@@ -24,11 +23,10 @@ struct Frame
 void
 drainGood(int fd, char *buf, unsigned long len, Frame &frame)
 {
-    if (mopac::serve::waitReadable(fd, 0.5)) {
+    if (mopac::serve::waitAnyReadable(&fd, 0.5)) {
         mopac::serve::readExact(fd, buf, len, 5.0);
     }
     frame.write(buf, len);
     mopac::serve::writeAll(fd, buf, len);
-    mopac::serve::sleepFor(0.01);
     (void)mopac::serve::reapChild(7);
 }

@@ -44,6 +44,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -132,30 +133,33 @@ main(int argc, char **argv)
         }
     }
 
+    // 32-bit fields: a wider value is fatal, never narrowed.
+    constexpr std::uint64_t kU32 =
+        std::numeric_limits<std::uint32_t>::max();
     SystemConfig cfg = makeConfig(
         parseMitigation(conf.getString("mitigation", "none")),
-        static_cast<std::uint32_t>(conf.getUint("trh", 500)));
+        static_cast<std::uint32_t>(conf.getUint("trh", 500, kU32)));
     cfg.insts_per_core =
         conf.getUint("insts", defaultInstsPerCore());
     cfg.warmup_insts = conf.getUint("warmup", cfg.insts_per_core / 10);
     cfg.num_cores =
-        static_cast<unsigned>(conf.getUint("cores", 8));
+        static_cast<unsigned>(conf.getUint("cores", 8, kU32));
     cfg.seed = conf.getUint("seed", 12345);
     cfg.nup = conf.getBool("nup", false);
     cfg.rowpress = conf.getBool("rowpress", false);
     cfg.srq_capacity =
-        static_cast<unsigned>(conf.getUint("srq", 16));
+        static_cast<unsigned>(conf.getUint("srq", 16, kU32));
     cfg.drain_per_ref =
         static_cast<int>(conf.getInt("drain", -1));
     cfg.geometry.chips =
-        static_cast<unsigned>(conf.getUint("chips", 4));
+        static_cast<unsigned>(conf.getUint("chips", 4, kU32));
     cfg.engine =
         parseSimEngine(conf.getString("sim.engine", toString(cfg.engine)));
     cfg.mc.page_policy = parsePolicy(conf.getString("page", "open"));
     cfg.mc.timeout_ton = nsToCycles(conf.getDouble("ton_ns", 200.0));
     cfg.watchdog_cycles = conf.getUint("watchdog", cfg.watchdog_cycles);
     cfg.watchdog_tail = static_cast<unsigned>(
-        conf.getUint("watchdog_tail", cfg.watchdog_tail));
+        conf.getUint("watchdog_tail", cfg.watchdog_tail, kU32));
     cfg.faults = FaultPlan::fromConfig(conf);
 
     const std::string workload = conf.getString("workload", "mcf");
