@@ -26,20 +26,12 @@
  * never results.  A mismatch fails the bench (exit 1).
  *
  * Part D turns the deterministic syscall fault shim (serve/io.hh) on
- * the storage and transport layers, in two drills:
- *   D1  full-disk brownout: a supervised sweep with journal + cache
- *       while atomicWriteFile fails with injected ENOSPC and the
- *       worker pipes suffer EINTR / short writes.  Every storage
- *       failure must be tolerated and counted, the manifest must stay
- *       bit-identical to the serial run, and a post-run cache budget
- *       squeeze must evict oldest-insertion-first back under budget.
- *   D2  checkpointed preemption under EINTR / short-write pressure:
- *       scripted kPreemptPoint + kKillAtCheckpoint with the transport
- *       faults armed; the cycles-executed ledger must equal the
- *       serial total exactly (zero rework).  ENOSPC stays off here on
- *       purpose -- a failed snapshot write inside a worker surfaces
- *       as a failed point by design, so the full-disk drill and the
- *       checkpoint drill are separate experiments.
+ * the storage and transport layers in one drill, D1 full-disk
+ * brownout: a supervised sweep with journal + cache while
+ * atomicWriteFile fails with injected ENOSPC and the worker pipes
+ * suffer EINTR / short writes.  Every storage failure must be
+ * tolerated and counted, and the manifest must stay bit-identical to
+ * the serial run.
  *
  * Flags: the shared bench flags plus `--smoke` (short durations and a
  * reduced grid; what the ctest smoke run uses).
@@ -315,7 +307,7 @@ workerKillChaos(bool smoke)
 }
 
 /**
- * Common supervision tuning for the Part D drills: enough workers to
+ * Supervision tuning for the Part D drill: enough workers to
  * overlap points, strike budget high enough that injected pressure
  * can never quarantine, fast heartbeat/backoff so the smoke run stays
  * quick.
@@ -338,16 +330,13 @@ resourcePressureChaos(bool smoke)
 {
     const std::uint64_t insts = smoke ? 15000 : 40000;
 
-    // Same clean-sweep shape as Part C, but on a small bank: snapshot
-    // size scales with PRAC's per-row state, and drill D2 writes a
-    // snapshot every checkpoint interval.
+    // Same clean-sweep shape as Part C.
     SweepSpec spec;
     spec.master_seed = 43;
     for (std::uint32_t trh : {500u, 1000u}) {
         SystemConfig cfg = makeConfig(MitigationKind::kMopacD, trh);
         cfg.insts_per_core = insts;
         cfg.warmup_insts = insts / 10;
-        cfg.geometry.rows_per_bank = 4096;
         spec.configs.push_back(
             {"mopac-d@" + std::to_string(trh), cfg});
     }
@@ -358,22 +347,16 @@ resourcePressureChaos(bool smoke)
     serial_opts.jobs = 1;
     const std::vector<PointResult> serial =
         Runner(serial_opts).run(points);
-    std::uint64_t total_cycles = 0;
-    std::uint64_t min_cycles = ~0ull;
-    for (const PointResult &r : serial) {
-        total_cycles += r.run.cycles;
-        min_cycles = std::min(min_cycles, r.run.cycles);
-    }
 
     const std::string base =
         format("/tmp/mopac_chaos_pressure_{}", ::getpid());
     std::filesystem::remove_all(base);
-    serve::ensureDir(base);
+    ensureDir(base);
 
-    TextTable table("chaos soak: resource-pressure drills");
+    TextTable table("chaos soak: resource-pressure drill");
     table.header({"drill", "injected", "observed", "verdict"});
 
-    // ---- D1: full-disk brownout + budgeted cache eviction --------
+    // ---- D1: full-disk brownout --------------------------------
     {
         // Journal and cache are set up before the shim arms, so the
         // directory scaffolding itself cannot fault.
@@ -418,93 +401,6 @@ resourcePressureChaos(bool smoke)
         }
         if (report.exitCode() != 0) {
             fatal("pressure chaos: brownout sweep exit {} != 0",
-                  report.exitCode());
-        }
-
-        // Budget squeeze: halve the cache's footprint allowance and
-        // require deterministic oldest-first eviction back under it.
-        const std::uint64_t before = cache.totalBytes();
-        if (before == 0) {
-            fatal("pressure chaos: every cache store failed; the "
-                  "eviction drill has nothing to evict");
-        }
-        const std::uint64_t budget = before / 2;
-        cache.setBudget(budget);
-        table.row({"D1 budget squeeze",
-                   format("budget {} B", budget),
-                   format("{} -> {} B, {} evicted", before,
-                          cache.totalBytes(), cache.evictions()),
-                   cache.totalBytes() <= budget ? "within budget"
-                                                : "OVER"});
-        if (cache.evictions() == 0 || cache.totalBytes() > budget) {
-            fatal("pressure chaos: budget squeeze left {} B against "
-                  "a {} B budget ({} evictions)",
-                  cache.totalBytes(), budget, cache.evictions());
-        }
-    }
-
-    // ---- D2: checkpointed preemption under transport pressure ----
-    {
-        serve::SupervisorOptions sopts = pressureOptions();
-        sopts.job.checkpoint_every =
-            std::max<std::uint64_t>(1, min_cycles / 3);
-        sopts.checkpoint_dir = base + "/ckpt";
-        serve::Supervisor sup(sopts);
-        sup.setFailSchedule({
-            {{points[1].point_id, 1}, serve::FailAction::kPreemptPoint},
-            {{points[3].point_id, 1},
-             serve::FailAction::kKillAtCheckpoint},
-        });
-
-        serve::IoFaultConfig shim;
-        shim.seed = 0xd25c;
-        shim.eintr_rate = 0.25;
-        shim.short_write_rate = 0.25;
-        serve::setIoFaultShim(shim);
-        const serve::SupervisorReport report = sup.run(points);
-        const serve::IoFaultStats stats = serve::ioFaultShimStats();
-        serve::setIoFaultShim(serve::IoFaultConfig{});
-
-        std::size_t mismatches = 0;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            mismatches += canonicalBytes(serial[i]) ==
-                                  canonicalBytes(report.results[i])
-                              ? 0
-                              : 1;
-        }
-        // Preemption and a checkpoint-rendezvous kill both resume
-        // from the exact snapshot cycle, so the ledger of simulated
-        // cycles across every attempt equals the serial total: the
-        // drill proves zero rework, not just identical results.
-        const bool exact_ledger =
-            report.cycles_executed == total_cycles;
-        table.row({"D2 preempt+ckpt",
-                   format("eintr {} short {}", stats.eintr,
-                          stats.short_writes),
-                   format("preempted {} crashed {} ledger {}/{}",
-                          report.points_preempted,
-                          report.workers_crashed,
-                          report.cycles_executed, total_cycles),
-                   mismatches == 0 && exact_ledger ? "zero rework"
-                                                   : "REWORK"});
-        if (mismatches > 0) {
-            fatal("pressure chaos: {} of {} preempted results differ "
-                  "from the serial run",
-                  mismatches, points.size());
-        }
-        if (report.points_preempted == 0 ||
-            report.workers_crashed == 0) {
-            fatal("pressure chaos: scripted preemption did not fire "
-                  "(preempted {}, crashed {})",
-                  report.points_preempted, report.workers_crashed);
-        }
-        if (!exact_ledger) {
-            fatal("pressure chaos: cycles ledger {} != serial total "
-                  "{} (checkpoint resume lost or redid work)",
-                  report.cycles_executed, total_cycles);
-        }
-        if (report.exitCode() != 0) {
-            fatal("pressure chaos: preemption sweep exit {} != 0",
                   report.exitCode());
         }
     }

@@ -9,6 +9,7 @@
 #include <charconv>
 #include <cstdlib>
 #include <fstream>
+#include <string_view>
 
 #include "log.hh"
 
@@ -30,6 +31,30 @@ trim(const std::string &s)
         --e;
     }
     return s.substr(b, e - b);
+}
+
+/**
+ * Read @p text with the prefixes strtoull(..., 0) takes -- decimal,
+ * 0x hex or 0-prefixed octal -- but through from_chars: no sign, no
+ * whitespace, and an overflow fails instead of clamping to 2^64 - 1.
+ */
+bool
+parseUnsigned(std::string_view text, std::uint64_t &v)
+{
+    int base = 10;
+    std::size_t skip = 0;
+    if (text.size() > 2 && text[0] == '0' &&
+        (text[1] == 'x' || text[1] == 'X')) {
+        base = 16;
+        skip = 2;
+    } else if (text.size() > 1 && text[0] == '0') {
+        base = 8;
+        skip = 1;
+    }
+    const char *last = text.data() + text.size();
+    const auto [end, ec] =
+        std::from_chars(text.data() + skip, last, v, base);
+    return ec == std::errc() && end == last;
 }
 
 } // namespace
@@ -129,18 +154,30 @@ Config::getString(const std::string &key, const std::string &def) const
 }
 
 std::int64_t
-Config::getInt(const std::string &key, std::int64_t def) const
+Config::getInt(const std::string &key, std::int64_t def,
+               std::int64_t min_value, std::int64_t max_value) const
 {
     const auto it = values_.find(key);
     if (it == values_.end()) {
         return def;
     }
     it->second.consumed = true;
-    char *end = nullptr;
-    const std::int64_t v = std::strtoll(it->second.value.c_str(), &end, 0);
-    if (end == it->second.value.c_str() || *end != '\0') {
-        fatal("config key '{}': '{}' is not an integer", key,
-              it->second.value);
+    const std::string &text = it->second.value;
+    const bool negative = !text.empty() && text[0] == '-';
+    const std::string_view digits =
+        std::string_view(text).substr(negative ? 1 : 0);
+    // The magnitude of INT64_MIN is one past INT64_MAX.
+    const std::uint64_t limit = (1ull << 63) - (negative ? 0 : 1);
+    std::uint64_t magnitude = 0;
+    const bool parsed =
+        parseUnsigned(digits, magnitude) && magnitude <= limit;
+    // Two's-complement wrap (defined since C++20) maps 2^63 to
+    // INT64_MIN.
+    const std::int64_t v =
+        static_cast<std::int64_t>(negative ? 0 - magnitude : magnitude);
+    if (!parsed || v < min_value || v > max_value) {
+        fatal("config key '{}': '{}' is not an integer in [{}, {}]",
+              key, text, min_value, max_value);
     }
     return v;
 }
@@ -155,24 +192,8 @@ Config::getUint(const std::string &key, std::uint64_t def,
     }
     it->second.consumed = true;
     const std::string &text = it->second.value;
-    // The prefixes strtoull(..., 0) reads, but through from_chars: no
-    // sign ("-1" is not 2^64 - 1) and no clamping of an overflow to
-    // 2^64 - 1.
-    int base = 10;
-    std::size_t skip = 0;
-    if (text.size() > 2 && text[0] == '0' &&
-        (text[1] == 'x' || text[1] == 'X')) {
-        base = 16;
-        skip = 2;
-    } else if (text.size() > 1 && text[0] == '0') {
-        base = 8;
-        skip = 1;
-    }
     std::uint64_t v = 0;
-    const char *last = text.data() + text.size();
-    const auto [end, ec] =
-        std::from_chars(text.data() + skip, last, v, base);
-    if (ec != std::errc() || end != last || v > max_value) {
+    if (!parseUnsigned(text, v) || v > max_value) {
         fatal("config key '{}': '{}' is not an unsigned integer", key,
               text);
     }

@@ -52,13 +52,19 @@ class Config
     /**
      * Typed getters returning @p def when the key is absent.  Every
      * lookup marks the key consumed (see rejectUnknownKeys()).
-     * getUint() reads decimal, 0x hex or 0-prefixed octal and is
-     * fatal on a value above @p max_value (default: the full 64-bit
-     * range), so a narrower field never silently wraps.
+     * getInt() and getUint() read decimal, 0x hex or 0-prefixed octal
+     * (getInt() also a leading '-') and are fatal on a value outside
+     * [@p min_value, @p max_value] (default: the full 64-bit range of
+     * their type), so a narrower field never silently wraps.
      */
     std::string getString(const std::string &key,
                           const std::string &def = "") const;
-    std::int64_t getInt(const std::string &key, std::int64_t def = 0) const;
+    std::int64_t getInt(
+        const std::string &key, std::int64_t def = 0,
+        std::int64_t min_value =
+            std::numeric_limits<std::int64_t>::min(),
+        std::int64_t max_value =
+            std::numeric_limits<std::int64_t>::max()) const;
     std::uint64_t getUint(
         const std::string &key, std::uint64_t def = 0,
         std::uint64_t max_value =

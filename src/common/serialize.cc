@@ -513,6 +513,15 @@ atomicWriteFile(const std::string &path,
     syncDirOf(path);
 }
 
+void
+ensureDir(const std::string &path)
+{
+    if (::mkdir(path.c_str(), 0777) == 0 || errno == EEXIST) {
+        return;
+    }
+    ioError("cannot create directory", path);
+}
+
 std::vector<std::uint8_t>
 readFileBytes(const std::string &path)
 {

@@ -196,6 +196,13 @@ void atomicWriteFile(const std::string &path,
                      const std::vector<std::uint8_t> &bytes);
 
 /**
+ * Create directory @p path (one level, mode 0777 less the umask); an
+ * existing directory is fine.  Throws SerializeError otherwise.  The
+ * one mkdir of the journal, the result cache and their tests.
+ */
+void ensureDir(const std::string &path);
+
+/**
  * Fault-injection hook for tests and chaos drills: invoked with the
  * destination path at the top of every atomicWriteFile, before any
  * byte reaches the disk.  A hook that throws SerializeError simulates

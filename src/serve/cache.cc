@@ -5,16 +5,10 @@
 
 #include "cache.hh"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <vector>
-
-#include <dirent.h>
 
 #include "common/log.hh"
 #include "common/serialize.hh"
-#include "serve/io.hh"
 #include "sim/experiment.hh"
 #include "sim/journal.hh"
 
@@ -26,9 +20,6 @@ namespace
 
 /** Section tag of the identity block inside a cache entry. */
 constexpr std::uint32_t kTagCacheId = 0x53434944; // 'SCID'
-
-/** Section tag of the insertion-sequence block (eviction order). */
-constexpr std::uint32_t kTagCacheSeq = 0x53435351; // 'SCSQ'
 
 std::string
 hex16(std::uint64_t value)
@@ -44,7 +35,6 @@ hex16(std::uint64_t value)
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
 {
     ensureDir(dir_);
-    scan();
 }
 
 std::uint64_t
@@ -57,104 +47,6 @@ std::string
 ResultCache::entryPath(std::uint64_t key) const
 {
     return dir_ + "/" + hex16(key) + ".rec";
-}
-
-void
-ResultCache::forget(std::uint64_t key)
-{
-    const auto it = seq_of_.find(key);
-    if (it == seq_of_.end()) {
-        return;
-    }
-    const auto entry = by_seq_.find(it->second);
-    if (entry != by_seq_.end()) {
-        total_bytes_ -= entry->second.second;
-        by_seq_.erase(entry);
-    }
-    seq_of_.erase(it);
-}
-
-void
-ResultCache::scan()
-{
-    by_seq_.clear();
-    seq_of_.clear();
-    total_bytes_ = 0;
-
-    DIR *dir = ::opendir(dir_.c_str());
-    if (dir == nullptr) {
-        return;
-    }
-    std::vector<std::string> names;
-    while (struct dirent *ent = ::readdir(dir)) {
-        names.emplace_back(ent->d_name);
-    }
-    ::closedir(dir);
-    // Lexicographic walk keeps healing and accounting order stable.
-    std::sort(names.begin(), names.end());
-
-    for (const std::string &name : names) {
-        if (name.size() != 20 || name.compare(16, 4, ".rec") != 0) {
-            continue;
-        }
-        const std::string path = dir_ + "/" + name;
-        const std::uint64_t key =
-            std::strtoull(name.c_str(), nullptr, 16);
-        try {
-            const std::vector<std::uint8_t> bytes =
-                readFileBytes(path);
-            Deserializer des(bytes, FileKind::kCacheEntry, key);
-            des.begin(kTagCacheId);
-            des.getStr();
-            des.getStr();
-            des.end();
-            des.begin(kTagCacheSeq);
-            const std::uint64_t seq = des.getU64();
-            des.end();
-            seq_of_[key] = seq;
-            by_seq_[seq] = {key, bytes.size()};
-            total_bytes_ += bytes.size();
-            next_seq_ = std::max(next_seq_, seq + 1);
-        } catch (const SerializeError &err) {
-            // Corrupt or pre-sequence-format entry: heal it out of
-            // the accounting so budgets stay exact.
-            warn("result cache: healing corrupt entry {}: {}", path,
-                 err.what());
-            if (::rename(path.c_str(),
-                         (path + ".corrupt").c_str()) != 0) {
-                ::remove(path.c_str());
-            }
-            ++healed_;
-        }
-    }
-}
-
-void
-ResultCache::evictToBudget()
-{
-    if (budget_ == 0) {
-        return;
-    }
-    while (total_bytes_ > budget_ && !by_seq_.empty()) {
-        const auto it = by_seq_.begin();
-        const std::uint64_t key = it->second.first;
-        const std::uint64_t size = it->second.second;
-        const std::string path = entryPath(key);
-        if (::remove(path.c_str()) != 0) {
-            warn("result cache: cannot evict {}", path);
-        }
-        total_bytes_ -= size;
-        seq_of_.erase(key);
-        by_seq_.erase(it);
-        ++evictions_;
-    }
-}
-
-void
-ResultCache::setBudget(std::uint64_t bytes)
-{
-    budget_ = bytes;
-    evictToBudget();
 }
 
 std::optional<PointResult>
@@ -178,9 +70,6 @@ ResultCache::lookup(const ExperimentPoint &point)
             throw SerializeError(
                 "cache key collision: stored identity differs");
         }
-        des.begin(kTagCacheSeq);
-        des.getU64();
-        des.end();
         PointResult result = loadPointResult(des);
         des.finish();
         if (result.status != PointStatus::kOk) {
@@ -200,7 +89,6 @@ ResultCache::lookup(const ExperimentPoint &point)
         if (::rename(path.c_str(), (path + ".corrupt").c_str()) != 0) {
             ::remove(path.c_str());
         }
-        forget(key);
         ++healed_;
         ++misses_;
         return std::nullopt;
@@ -215,24 +103,14 @@ ResultCache::store(const ExperimentPoint &point,
         return;
     }
     const std::uint64_t key = keyFor(point);
-    const std::uint64_t seq = next_seq_++;
     Serializer ser;
     ser.begin(kTagCacheId);
     ser.putStr(configSignature(point.cfg));
     ser.putStr(point.workload);
     ser.end();
-    ser.begin(kTagCacheSeq);
-    ser.putU64(seq);
-    ser.end();
     savePointResult(ser, result);
-    const std::vector<std::uint8_t> bytes =
-        ser.finish(FileKind::kCacheEntry, key);
-    atomicWriteFile(entryPath(key), bytes);
-    forget(key); // Replacing a key frees its older generation.
-    seq_of_[key] = seq;
-    by_seq_[seq] = {key, bytes.size()};
-    total_bytes_ += bytes.size();
-    evictToBudget();
+    atomicWriteFile(entryPath(key),
+                    ser.finish(FileKind::kCacheEntry, key));
 }
 
 } // namespace mopac::serve

@@ -24,21 +24,17 @@
  *    poisoning jobs.
  *  - Only kOk results are stored; quarantined results must re-run on
  *    the next sweep, never be replayed from cache.
- *  - The footprint can be bounded (setBudget): each entry persists a
- *    monotonic insertion sequence number, and when the directory
- *    exceeds the budget the lowest-sequence entries are evicted --
- *    deterministic LRU by insertion order, never by access time, so
- *    two caches replaying the same store history evict identically.
+ *  - Opening a cache reads nothing: an entry is parsed only when a
+ *    lookup asks for it, and an entry written in an older layout
+ *    fails that parse and heals like any other corrupt entry.
  */
 
 #ifndef MOPAC_SERVE_CACHE_HH
 #define MOPAC_SERVE_CACHE_HH
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
-#include <utility>
 
 #include "sim/runner.hh"
 #include "sim/sharding.hh"
@@ -74,22 +70,6 @@ class ResultCache
     void store(const ExperimentPoint &point,
                const PointResult &result);
 
-    /**
-     * Bound the on-disk footprint (0 = unbounded, the default).
-     * Applies immediately and to every later store: entries are
-     * evicted oldest-insertion-first until the total fits, including
-     * -- when the budget is smaller than one entry -- the entry just
-     * stored.  Eviction order is a pure function of the store
-     * history, so it is identical across runs and worker counts.
-     */
-    void setBudget(std::uint64_t bytes);
-
-    /** Current on-disk footprint of live entries, bytes. */
-    std::uint64_t totalBytes() const { return total_bytes_; }
-
-    /** Entries evicted to stay within budget since construction. */
-    std::uint64_t evictions() const { return evictions_; }
-
     /** Cache hits served since construction. */
     std::uint64_t hits() const { return hits_; }
 
@@ -101,20 +81,8 @@ class ResultCache
 
   private:
     std::string entryPath(std::uint64_t key) const;
-    void forget(std::uint64_t key);
-    void scan();
-    void evictToBudget();
 
     std::string dir_;
-    std::uint64_t budget_ = 0;
-    std::uint64_t total_bytes_ = 0;
-    std::uint64_t evictions_ = 0;
-    std::uint64_t next_seq_ = 1;
-    /** Insertion order -> (key, entry bytes): the eviction queue. */
-    std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
-        by_seq_;
-    /** Live key -> its sequence number in by_seq_. */
-    std::map<std::uint64_t, std::uint64_t> seq_of_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t healed_ = 0;

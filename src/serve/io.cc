@@ -15,7 +15,6 @@
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -305,15 +304,6 @@ closeQuiet(int fd)
     if (fd >= 0) {
         ::close(fd);
     }
-}
-
-void
-ensureDir(const std::string &path)
-{
-    if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) {
-        return;
-    }
-    throwErrno(format("mkdir {}", path));
 }
 
 void

@@ -107,14 +107,6 @@ ChildStatus reapChild(pid_t pid);
 /** Close @p fd if valid, ignoring errors (teardown paths). */
 void closeQuiet(int fd);
 
-/**
- * Create directory @p path (one level, 0755); an existing directory
- * is fine.  Throws IoError otherwise.  The serve layer's sanctioned
- * mkdir -- checkpoint and cache dirs go through here so no other serve
- * file needs to read errno (mopac_lint check `io-errno`).
- */
-void ensureDir(const std::string &path);
-
 // ------------------------------------------------------------------
 // Deterministic syscall-level fault injection (tests / chaos drills)
 // ------------------------------------------------------------------

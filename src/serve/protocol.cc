@@ -17,7 +17,6 @@ namespace
 /** Section tags (serve-layer range, disjoint from journal tags). */
 constexpr std::uint32_t kTagConfig = 0x53434647; // 'SCFG'
 constexpr std::uint32_t kTagPointHdr = 0x53505448; // 'SPTH'
-constexpr std::uint32_t kTagJobOpts = 0x534A4F50; // 'SJOP'
 constexpr std::uint32_t kTagAssign = 0x5341474E; // 'SAGN'
 constexpr std::uint32_t kTagEvent = 0x53455654;  // 'SEVT'
 
@@ -210,36 +209,12 @@ loadPoint(Deserializer &des)
 }
 
 void
-saveJobOptions(Serializer &ser, const JobOptions &opts)
-{
-    ser.begin(kTagJobOpts);
-    ser.putU32(opts.fault_retries);
-    ser.putU64(opts.point_max_cycles);
-    ser.putU64(opts.checkpoint_every);
-    ser.end();
-}
-
-JobOptions
-loadJobOptions(Deserializer &des)
-{
-    JobOptions opts;
-    des.begin(kTagJobOpts);
-    opts.fault_retries = des.getU32();
-    opts.point_max_cycles = des.getU64();
-    opts.checkpoint_every = des.getU64();
-    des.end();
-    return opts;
-}
-
-void
 saveAssignment(Serializer &ser, const Assignment &assignment)
 {
     ser.begin(kTagAssign);
     ser.putU32(assignment.attempt);
-    ser.putStr(assignment.ckpt_path);
     ser.putU32(assignment.raise_signal);
     ser.end();
-    saveJobOptions(ser, assignment.opts);
     savePoint(ser, assignment.point);
 }
 
@@ -249,10 +224,8 @@ loadAssignment(Deserializer &des)
     Assignment assignment;
     des.begin(kTagAssign);
     assignment.attempt = des.getU32();
-    assignment.ckpt_path = des.getStr();
     assignment.raise_signal = des.getU32();
     des.end();
-    assignment.opts = loadJobOptions(des);
     assignment.point = loadPoint(des);
     return assignment;
 }
@@ -263,8 +236,6 @@ savePointEvent(Serializer &ser, const PointEvent &event)
     ser.begin(kTagEvent);
     ser.putU64(event.point_id);
     ser.putU32(event.attempt);
-    ser.putU64(event.resumed_from);
-    ser.putU64(event.executed_cycles);
     ser.end();
 }
 
@@ -275,8 +246,6 @@ loadPointEvent(Deserializer &des)
     des.begin(kTagEvent);
     event.point_id = des.getU64();
     event.attempt = des.getU32();
-    event.resumed_from = des.getU64();
-    event.executed_cycles = des.getU64();
     des.end();
     return event;
 }

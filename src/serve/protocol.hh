@@ -51,15 +51,11 @@ enum class MsgType : std::uint64_t
     // Supervisor -> worker.
     kAssign = 100, //!< A chunk of points to execute.
     kRetire,       //!< Drain and exit cleanly.
-    kPreempt,      //!< Checkpoint the running point and yield it.
-    kCheckpointAck, //!< Continue past the checkpoint just reported.
 
     // Worker -> supervisor.
     kPointStart = 150, //!< About to run a point (doubles as a beat).
     kPointDone,        //!< One finished PointResult.
     kHeartbeat,        //!< Idle liveness beat.
-    kCheckpointed,     //!< Mid-point checkpoint written (busy beat).
-    kPointPreempted,   //!< Point checkpointed and yielded on request.
 };
 
 /** Where a supervised point's result came from. */
@@ -71,23 +67,6 @@ enum class PointSource : std::uint8_t
     kQuarantine, //!< Quarantined after exhausting its retries.
 };
 
-/** Per-sweep execution knobs the supervisor forwards to its workers. */
-struct JobOptions
-{
-    /** Runner fault_retries applied by the workers. */
-    unsigned fault_retries = 0;
-    /** Runner point_max_cycles applied by the workers. */
-    std::uint64_t point_max_cycles = 0;
-    /**
-     * Checkpoint cadence in simulated cycles (0 = off).  With a
-     * cadence and a supervisor checkpoint dir, workers snapshot the
-     * in-flight point every interval and rendezvous with the
-     * supervisor, so a preempted or killed point resumes from its
-     * last checkpoint instead of from zero.
-     */
-    std::uint64_t checkpoint_every = 0;
-};
-
 /** One chunk assignment (kAssign payload). */
 struct Assignment
 {
@@ -95,14 +74,6 @@ struct Assignment
      *  only -- the simulation seed is attempt-independent, so every
      *  attempt of a point is bit-identical). */
     std::uint32_t attempt = 1;
-    /** Execution knobs the worker applies to its Runner. */
-    JobOptions opts;
-    /**
-     * Checkpoint file for this point ("" = checkpointing off).  An
-     * existing file is restored from (resume); the worker rewrites it
-     * at every checkpoint_every interval.
-     */
-    std::string ckpt_path;
     /** The point to execute. */
     ExperimentPoint point;
     /**
@@ -115,21 +86,11 @@ struct Assignment
     std::uint32_t raise_signal = 0;
 };
 
-/**
- * Point lifecycle beat (kPointStart / kCheckpointed /
- * kPointPreempted payloads; kPointDone prefix).  The cycle fields
- * are zero on kPointStart and carry executed-cycle accounting on the
- * rest: @c resumed_from is the cycle this attempt started from (0 =
- * fresh) and @c executed_cycles the cycles this attempt has executed
- * so far, so the supervisor can prove re-run work after a preemption
- * is bounded by one checkpoint interval.
- */
+/** Point lifecycle beat (kPointStart payload; kPointDone prefix). */
 struct PointEvent
 {
     std::uint64_t point_id = 0;
     std::uint32_t attempt = 1;
-    std::uint64_t resumed_from = 0;
-    std::uint64_t executed_cycles = 0;
 };
 
 // ------------------------------------------------------------------
@@ -151,12 +112,6 @@ void savePoint(Serializer &ser, const ExperimentPoint &point);
 
 /** Restore an ExperimentPoint saved by savePoint(). */
 ExperimentPoint loadPoint(Deserializer &des);
-
-/** Serialize JobOptions. */
-void saveJobOptions(Serializer &ser, const JobOptions &opts);
-
-/** Restore JobOptions. */
-JobOptions loadJobOptions(Deserializer &des);
 
 /** Serialize an Assignment. */
 void saveAssignment(Serializer &ser, const Assignment &assignment);

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <csignal>
-#include <cstdio>
 
 #include <unistd.h>
 
@@ -29,9 +28,6 @@ struct Supervisor::Slot
     bool hang_killed = false; //!< Watchdog (not chaos/crash) kill.
     std::size_t index = 0;    //!< In-flight point (when busy).
     std::uint32_t attempt = 0;
-    /** Cycles the in-flight attempt had executed at its last durable
-     *  checkpoint (what survives if the worker dies now). */
-    std::uint64_t last_executed = 0;
     wallclock::TimePoint last_beat;
     wallclock::TimePoint busy_since;
 
@@ -128,25 +124,6 @@ Supervisor::killWorker(Slot &slot)
     }
 }
 
-std::string
-Supervisor::checkpointPath(std::uint64_t point_id) const
-{
-    if (opts_.checkpoint_dir.empty() ||
-        opts_.job.checkpoint_every == 0) {
-        return "";
-    }
-    return format("{}/{}.ckpt", opts_.checkpoint_dir, point_id);
-}
-
-void
-Supervisor::dropCheckpoint(std::uint64_t point_id) const
-{
-    const std::string path = checkpointPath(point_id);
-    if (!path.empty()) {
-        std::remove(path.c_str());
-    }
-}
-
 void
 Supervisor::resolve(std::size_t index, const PointResult &result,
                     PointSource source)
@@ -198,7 +175,6 @@ Supervisor::resolveFresh(std::size_t index, const PointResult &result)
         }
     }
     journalRecord(result);
-    dropCheckpoint(point.point_id);
     resolve(index, result,
             result.status == PointStatus::kOk
                 ? PointSource::kFresh
@@ -223,7 +199,6 @@ Supervisor::quarantine(std::size_t index, std::uint32_t attempts,
     warn("supervisor: point {} quarantined: {}", point.point_id,
          result.error);
     journalRecord(result);
-    dropCheckpoint(point.point_id);
     resolve(index, result, PointSource::kQuarantine);
 }
 
@@ -260,11 +235,6 @@ Supervisor::onWorkerDeath(Slot &slot, bool hang)
         return; // Idle death: nothing in flight, just respawn later.
     }
     slot.busy = false;
-    // Only the work up to the last durable checkpoint survives the
-    // death; that is what the retry resumes from, so that is what the
-    // executed-cycle ledger credits this attempt with.
-    report_->cycles_executed += slot.last_executed;
-    slot.last_executed = 0;
     const std::size_t index = slot.index;
     ++strikes_[index];
     if (strikes_[index] >= opts_.max_strikes) {
@@ -280,16 +250,8 @@ Supervisor::failureSignal(std::uint64_t point_id,
 {
     const auto it = fail_schedule_.find({point_id, attempt});
     if (it != fail_schedule_.end()) {
-        // Checkpoint-phase actions fire from the rendezvous handler,
-        // not at point start.
-        switch (it->second) {
-          case FailAction::kKillWorker:
-            return SIGKILL;
-          case FailAction::kStopWorker:
-            return SIGSTOP;
-          default:
-            return 0;
-        }
+        return it->second == FailAction::kKillWorker ? SIGKILL
+                                                     : SIGSTOP;
     }
     if (opts_.chaos_kill_rate <= 0.0 && opts_.chaos_stop_rate <= 0.0) {
         return 0;
@@ -326,9 +288,6 @@ Supervisor::assignReady(wallclock::TimePoint now)
 
         Assignment assignment;
         assignment.attempt = item.attempt;
-        assignment.opts = opts_.job;
-        assignment.ckpt_path =
-            checkpointPath((*points_)[item.index].point_id);
         assignment.point = (*points_)[item.index];
         assignment.raise_signal =
             failureSignal(assignment.point.point_id, item.attempt);
@@ -351,7 +310,6 @@ Supervisor::assignReady(wallclock::TimePoint now)
         slot.busy = true;
         slot.index = item.index;
         slot.attempt = item.attempt;
-        slot.last_executed = 0;
         slot.busy_since = now;
         slot.last_beat = now;
     }
@@ -407,74 +365,7 @@ Supervisor::handleMessage(Slot &slot)
             }
             const std::size_t index = slot.index;
             slot.busy = false;
-            slot.last_executed = 0;
-            report_->cycles_executed += event.executed_cycles;
-            report_->resumed_from[event.point_id] = event.resumed_from;
             resolveFresh(index, result);
-            break;
-          }
-          case MsgType::kCheckpointed: {
-            const PointEvent event = loadPointEvent(*msg.payload);
-            msg.payload->finish();
-            if (!slot.busy ||
-                (*points_)[slot.index].point_id != event.point_id) {
-                throw SerializeError(format(
-                    "unexpected checkpoint of point {}",
-                    event.point_id));
-            }
-            // A checkpoint is a progress proof, not just a liveness
-            // beat: restart the per-point hang clock too.
-            slot.busy_since = now;
-            slot.last_executed = event.executed_cycles;
-            const auto it = fail_schedule_.find(
-                {event.point_id, slot.attempt});
-            if (it != fail_schedule_.end() &&
-                it->second == FailAction::kKillAtCheckpoint) {
-                // The worker is blocked awaiting this verdict, so the
-                // kill lands at exactly the checkpointed cycle.
-                killWorker(slot);
-                break;
-            }
-            const bool preempt =
-                stopping_ ||
-                (it != fail_schedule_.end() &&
-                 it->second == FailAction::kPreemptPoint);
-            sendEmptyMessage(slot.fd,
-                             preempt ? MsgType::kPreempt
-                                     : MsgType::kCheckpointAck,
-                             10.0);
-            break;
-          }
-          case MsgType::kPointPreempted: {
-            const PointEvent event = loadPointEvent(*msg.payload);
-            msg.payload->finish();
-            if (!slot.busy ||
-                (*points_)[slot.index].point_id != event.point_id) {
-                throw SerializeError(format(
-                    "unexpected preemption of point {}",
-                    event.point_id));
-            }
-            const std::size_t index = slot.index;
-            slot.busy = false;
-            slot.last_executed = 0;
-            report_->cycles_executed += event.executed_cycles;
-            ++report_->points_preempted;
-            if (!stopping_) {
-                // Voluntary yield: requeue immediately, no strike and
-                // no backoff -- the checkpoint makes the re-run cheap.
-                RetryRecord record;
-                record.attempt = slot.attempt;
-                record.delay_sec = 0.0;
-                record.reason = "preempt";
-                report_->retries[event.point_id].push_back(record);
-                Pending pending;
-                pending.index = index;
-                pending.attempt = slot.attempt + 1;
-                pending.ready = now;
-                pending_.push_back(pending);
-            }
-            // When stopping the point stays kPending; its checkpoint
-            // file resumes it on the next run.
             break;
           }
           default:
@@ -560,12 +451,6 @@ Supervisor::run(const std::vector<ExperimentPoint> &points,
     pending_.clear();
     strikes_.assign(points.size(), 0);
     unresolved_ = points.size();
-    stopping_ = false;
-
-    if (!opts_.checkpoint_dir.empty() &&
-        opts_.job.checkpoint_every > 0) {
-        ensureDir(opts_.checkpoint_dir);
-    }
 
     // Report journal-adopted results first, then answer from the
     // cache; only the remainder is scheduled onto workers.
@@ -597,19 +482,20 @@ Supervisor::run(const std::vector<ExperimentPoint> &points,
     const double idle_beat_grace =
         std::max(4.0 * opts_.heartbeat_sec, 2.0);
     auto drain_deadline = wallclock::now();
+    bool stopping = false;
 
     while (unresolved_ > 0) {
         const auto now = wallclock::now();
 
-        if (!stopping_ && sweepstop::stopRequested()) {
-            stopping_ = true;
+        if (!stopping && sweepstop::stopRequested()) {
+            stopping = true;
             pending_.clear(); // Unstarted points stay kPending.
             drain_deadline = wallclock::deadlineAfter(
                 opts_.drain_deadline_sec > 0.0
                     ? opts_.drain_deadline_sec
                     : 3600.0);
         }
-        if (stopping_) {
+        if (stopping) {
             const bool abort =
                 sweepstop::abortRequested() ||
                 wallclock::secondsSince(drain_deadline) >= 0.0;
@@ -624,7 +510,7 @@ Supervisor::run(const std::vector<ExperimentPoint> &points,
 
         // Keep the pool at strength while there is work for it.
         const std::size_t want = std::min<std::size_t>(
-            opts_.workers, stopping_ ? 0 : unresolved_);
+            opts_.workers, stopping ? 0 : unresolved_);
         std::size_t alive = 0;
         for (const Slot &slot : slots_) {
             alive += slot.alive() ? 1 : 0;
@@ -639,7 +525,7 @@ Supervisor::run(const std::vector<ExperimentPoint> &points,
             }
         }
 
-        if (!stopping_) {
+        if (!stopping) {
             assignReady(now);
         }
 

@@ -30,8 +30,9 @@
  *
  * Storage failures (journal or cache writes) are tolerated as a
  * brownout: the result stays in memory and the failure is counted.
- * A checkpoint directory adds preemption: workers snapshot each
- * interval, so a preempted or killed point resumes mid-stream.
+ * A graceful stop (sweepstop) lets in-flight points finish within
+ * drain_deadline_sec and leaves the rest kPending; with a journal, a
+ * rerun adopts the finished points and runs only the remainder.
  *
  * The supervisor is single-threaded (poll-based event loop), which
  * keeps fork() safe under TSAN.  Callers are perfbench's
@@ -62,19 +63,6 @@ enum class FailAction : std::uint8_t
 {
     kKillWorker, //!< The worker SIGKILLs itself as the attempt starts.
     kStopWorker, //!< It SIGSTOPs itself (the watchdog must kill it).
-    /**
-     * Reply kPreempt at the attempt's first checkpoint rendezvous:
-     * the worker yields the point at a snapshot-durable boundary and
-     * it is requeued (no strike, no backoff).
-     */
-    kPreemptPoint,
-    /**
-     * SIGKILL the worker while it is blocked at its first checkpoint
-     * rendezvous.  Because the worker waits for the verdict before
-     * executing past the snapshot, the kill lands at exactly the
-     * checkpointed cycle -- the retry resumes with zero lost work.
-     */
-    kKillAtCheckpoint,
 };
 
 /** Supervision tuning knobs. */
@@ -96,16 +84,6 @@ struct SupervisorOptions
     std::uint64_t backoff_seed = 0x6d6f706163736572ull;
     /** Seconds granted to in-flight points after a graceful stop. */
     double drain_deadline_sec = 10.0;
-    /** Execution knobs forwarded to the workers. */
-    JobOptions job;
-    /**
-     * Directory for per-point checkpoint files ("" = preemption off).
-     * With job.checkpoint_every > 0, every assignment carries
-     * <dir>/<point_id>.ckpt: workers snapshot there each interval and
-     * rendezvous for a verdict, retries resume from the file, and the
-     * supervisor deletes it when the point resolves.
-     */
-    std::string checkpoint_dir;
 
     // Chaos injection (bench/chaos_soak kWorkerKill, smoke tests).
     // Decisions are drawn per (point, attempt) from counter-mode
@@ -153,22 +131,9 @@ struct SupervisorReport
     std::uint64_t cache_hits = 0;
     /** Points adopted finished from the journal. */
     std::uint64_t journal_reused = 0;
-    /** Points preempted at a checkpoint rendezvous. */
-    std::uint64_t points_preempted = 0;
     /** Journal/cache writes that failed and were tolerated (the
      *  result stays in memory; the sweep keeps serving -- brownout). */
     std::uint64_t storage_write_failures = 0;
-    /**
-     * Simulated cycles executed across every attempt, counting only
-     * checkpoint-durable work for attempts that died.  This minus the
-     * sum of final per-point run cycles is the work re-run after
-     * failures -- bounded by one checkpoint interval per mid-interval
-     * death, and exactly zero for preemptions and checkpoint kills.
-     */
-    std::uint64_t cycles_executed = 0;
-    /** point_id -> cycle the result-producing attempt resumed from
-     *  (0 = ran fresh; only points executed by workers appear). */
-    std::map<std::uint64_t, std::uint64_t> resumed_from;
     /** True when a graceful stop left points kPending. */
     bool stopped = false;
 
@@ -229,8 +194,6 @@ class Supervisor
     void killWorker(Slot &slot);
     void assignReady(wallclock::TimePoint now);
     void handleMessage(Slot &slot);
-    std::string checkpointPath(std::uint64_t point_id) const;
-    void dropCheckpoint(std::uint64_t point_id) const;
     std::uint32_t failureSignal(std::uint64_t point_id,
                                 std::uint32_t attempt) const;
     void onWorkerDeath(Slot &slot, bool hang);
@@ -258,7 +221,6 @@ class Supervisor
     std::vector<Pending> pending_;
     std::vector<std::uint32_t> strikes_;
     std::size_t unresolved_ = 0;
-    bool stopping_ = false;
 };
 
 } // namespace mopac::serve

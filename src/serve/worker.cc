@@ -36,82 +36,10 @@ runAssignment(int fd, const Assignment &assignment)
         ::raise(static_cast<int>(assignment.raise_signal));
     }
 
-    RunnerOptions opts;
-    opts.fault_retries = assignment.opts.fault_retries;
-    opts.point_max_cycles = assignment.opts.point_max_cycles;
-
-    if (assignment.ckpt_path.empty() ||
-        assignment.opts.checkpoint_every == 0) {
-        const PointResult result =
-            Runner::replay(assignment.point, opts);
-        Serializer done;
-        savePointEvent(done, event);
-        savePointResult(done, result);
-        return sendMessage(fd, done, MsgType::kPointDone, 30.0) ==
-               IoStatus::kOk;
-    }
-
-    // Checkpointed execution with a synchronous rendezvous: after
-    // every durable snapshot the worker reports kCheckpointed and
-    // blocks for the supervisor's verdict.  A preemption (or a
-    // scripted kill-at-checkpoint in the tests) therefore lands at
-    // exactly the checkpointed cycle, never mid-interval.
-    bool peer_gone = false;
-    CheckpointOptions ckpt;
-    ckpt.save_path = assignment.ckpt_path;
-    ckpt.restore_path = assignment.ckpt_path;
-    ckpt.checkpoint_every = assignment.opts.checkpoint_every;
-    ckpt.on_checkpoint = [&](const CheckpointBeat &beat) {
-        PointEvent tick = event;
-        tick.resumed_from = beat.resumed_from;
-        tick.executed_cycles = beat.now - beat.resumed_from;
-        Serializer ser;
-        savePointEvent(ser, tick);
-        if (sendMessage(fd, ser, MsgType::kCheckpointed, 10.0) !=
-            IoStatus::kOk) {
-            peer_gone = true;
-            return CheckpointSignal::kPreempt;
-        }
-        ReceivedMessage verdict;
-        try {
-            verdict = recvMessage(fd, 30.0);
-        } catch (const std::exception &err) {
-            warn("worker: checkpoint rendezvous failed: {}",
-                 err.what());
-            peer_gone = true;
-            return CheckpointSignal::kPreempt;
-        }
-        if (verdict.status == IoStatus::kPeerClosed) {
-            peer_gone = true;
-            return CheckpointSignal::kPreempt;
-        }
-        if (verdict.status == IoStatus::kTimeout) {
-            // Supervisor wedged; keep making progress -- the snapshot
-            // on disk stays valid either way.
-            return CheckpointSignal::kContinue;
-        }
-        // Anything but an explicit ack is a request to yield.
-        return verdict.type == MsgType::kCheckpointAck
-                   ? CheckpointSignal::kContinue
-                   : CheckpointSignal::kPreempt;
-    };
-
-    const CheckpointedPointRun run =
-        Runner::replayCheckpointed(assignment.point, opts, ckpt);
-    if (peer_gone) {
-        return false;
-    }
-    event.resumed_from = run.resumed_from;
-    event.executed_cycles = run.executed_cycles;
-    if (run.preempted) {
-        Serializer yielded;
-        savePointEvent(yielded, event);
-        return sendMessage(fd, yielded, MsgType::kPointPreempted,
-                           30.0) == IoStatus::kOk;
-    }
+    const PointResult result = Runner::replay(assignment.point);
     Serializer done;
     savePointEvent(done, event);
-    savePointResult(done, run.result);
+    savePointResult(done, result);
     return sendMessage(fd, done, MsgType::kPointDone, 30.0) ==
            IoStatus::kOk;
 }

@@ -5,7 +5,7 @@
  * A worker is a fork()ed child of the supervisor that executes one
  * assigned point at a time on its end of a SOCK_STREAM socketpair:
  *
- *   supervisor -> worker : kAssign (point + attempt + knobs)
+ *   supervisor -> worker : kAssign (point + attempt)
  *                          kRetire (drain and exit 0)
  *   worker -> supervisor : kPointStart (about to simulate; a beat)
  *                          kPointDone  (full PointResult)

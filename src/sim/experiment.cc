@@ -85,12 +85,14 @@ classifyRun(const RunResult &result)
 }
 
 RunOutcome
-trapRun(const std::function<void(RunOutcome &)> &body)
+tryRunWorkload(const SystemConfig &cfg, const std::string &name,
+               bool capture_stats)
 {
     RunOutcome outcome;
     const ErrorTrap trap;
     try {
-        body(outcome);
+        outcome.result = runWorkload(
+            cfg, name, capture_stats ? &outcome.stats : nullptr);
         outcome.ok = true;
         outcome.outcome = classifyRun(outcome.result);
     } catch (const AbortError &) {
@@ -109,16 +111,6 @@ trapRun(const std::function<void(RunOutcome &)> &body)
         outcome.outcome = OutcomeClass::kViolated;
     }
     return outcome;
-}
-
-RunOutcome
-tryRunWorkload(const SystemConfig &cfg, const std::string &name,
-               bool capture_stats)
-{
-    return trapRun([&](RunOutcome &outcome) {
-        outcome.result = runWorkload(
-            cfg, name, capture_stats ? &outcome.stats : nullptr);
-    });
 }
 
 namespace
@@ -173,8 +165,7 @@ snapshotConfigHash(const SystemConfig &cfg, const std::string &workload)
 
 CheckpointedRun
 runWorkloadCheckpointed(const SystemConfig &cfg, const std::string &name,
-                        const CheckpointOptions &ckpt,
-                        StatSnapshot *stats_out)
+                        const CheckpointOptions &ckpt)
 {
     const AddressMap map(cfg.geometry);
     auto owned =
@@ -198,7 +189,6 @@ runWorkloadCheckpointed(const SystemConfig &cfg, const std::string &name,
         ckpt.checkpoint_every > 0 ? ckpt.checkpoint_every : (1u << 20);
 
     CheckpointedRun out;
-    out.resumed_from = system.runCycle();
     Cycle target = system.runCycle();
     for (;;) {
         target += step;
@@ -211,34 +201,15 @@ runWorkloadCheckpointed(const SystemConfig &cfg, const std::string &name,
             }
             out.finished = false;
             out.stopped_at = system.runCycle();
-            out.executed_cycles = system.runCycle() - out.resumed_from;
             return out;
         }
         if (!ckpt.save_path.empty() && ckpt.checkpoint_every > 0) {
             writeSnapshot(ckpt.save_path, hash, system, traces);
-            const CheckpointBeat beat{system.runCycle(),
-                                      out.resumed_from};
-            if (ckpt.on_checkpoint &&
-                ckpt.on_checkpoint(beat) ==
-                    CheckpointSignal::kPreempt) {
-                out.finished = false;
-                out.preempted = true;
-                out.stopped_at = system.runCycle();
-                out.executed_cycles =
-                    system.runCycle() - out.resumed_from;
-                return out;
-            }
         }
     }
 
     out.finished = true;
     out.result = system.finishRun();
-    out.executed_cycles = system.runCycle() - out.resumed_from;
-    if (stats_out != nullptr) {
-        StatRegistry registry;
-        system.registerStats(registry);
-        *stats_out = StatSnapshot(registry);
-    }
     return out;
 }
 

@@ -2,13 +2,14 @@
  * @file
  * Experiment helpers shared by the bench binaries, examples, and the
  * CLI: building and running named workloads, environment-based run
- * scaling, and slowdown computation.
+ * scaling, slowdown computation, and checkpointed single runs (the
+ * snapshot/restore path behind mopac_sim's checkpoint and restore
+ * keys).
  */
 
 #ifndef MOPAC_SIM_EXPERIMENT_HH
 #define MOPAC_SIM_EXPERIMENT_HH
 
-#include <functional>
 #include <string>
 
 #include "sim/system.hh"
@@ -65,39 +66,16 @@ struct RunOutcome
 };
 
 /**
- * Run @p body with the failure path made structural: panic(), fatal(),
+ * runWorkload with the failure path made structural: panic(), fatal(),
  * and any exception it throws are captured into RunOutcome::error
  * instead of propagating (or calling abort()/exit()).  An AbortError
- * still propagates: an operator abort is not a point failure.  @p body
- * fills the outcome's result (and stats); when it returns, the outcome
- * is marked ok and classified.  This is what lets a sweep quarantine
- * one broken point and keep the other results.
+ * still propagates: an operator abort is not a point failure.  A run
+ * that returns is marked ok and classified.  This is what lets a
+ * sweep quarantine one broken point and keep the other results.
  */
-RunOutcome trapRun(const std::function<void(RunOutcome &)> &body);
-
-/** runWorkload under trapRun(). */
 RunOutcome tryRunWorkload(const SystemConfig &cfg,
                           const std::string &name,
                           bool capture_stats = false);
-
-/**
- * What the checkpoint-cadence callback tells the run loop to do after
- * each periodic snapshot has been written.
- */
-enum class CheckpointSignal
-{
-    kContinue, //!< Keep executing toward the next checkpoint.
-    kPreempt,  //!< Yield now: the snapshot on disk is the hand-off.
-};
-
-/** What the run loop reports at each periodic checkpoint. */
-struct CheckpointBeat
-{
-    /** Simulated cycle the snapshot was taken at. */
-    Cycle now = 0;
-    /** Cycle this run started from (0 = fresh, else restore cycle). */
-    Cycle resumed_from = 0;
-};
 
 /** Checkpoint/restore knobs for a single workload run. */
 struct CheckpointOptions
@@ -120,15 +98,6 @@ struct CheckpointOptions
      * SerializeError.
      */
     std::string restore_path;
-    /**
-     * Invoked after every periodic snapshot lands on disk.  Returning
-     * kPreempt abandons the run at this (snapshot-durable) boundary;
-     * the serve-layer worker uses this to rendezvous with its
-     * supervisor so preemption and kill-at-checkpoint are
-     * deterministic.  Null = always continue.
-     */
-    std::function<CheckpointSignal(const CheckpointBeat &beat)>
-        on_checkpoint;
 };
 
 /** Outcome of one checkpointed workload run. */
@@ -144,12 +113,6 @@ struct CheckpointedRun
     RunResult result;
     /** Cycle of the last snapshot taken (interrupted runs). */
     Cycle stopped_at = 0;
-    /** True when on_checkpoint requested the yield (not a stop). */
-    bool preempted = false;
-    /** Cycle the run started from (0 = fresh, else restore cycle). */
-    Cycle resumed_from = 0;
-    /** Cycles executed by THIS invocation (rework accounting). */
-    Cycle executed_cycles = 0;
 };
 
 /**
@@ -170,8 +133,7 @@ std::uint64_t snapshotConfigHash(const SystemConfig &cfg,
  */
 CheckpointedRun runWorkloadCheckpointed(const SystemConfig &cfg,
                                         const std::string &name,
-                                        const CheckpointOptions &ckpt,
-                                        StatSnapshot *stats_out = nullptr);
+                                        const CheckpointOptions &ckpt);
 
 /**
  * Convenience: slowdown of mitigation @p kind vs the unprotected

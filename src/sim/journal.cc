@@ -5,12 +5,7 @@
 
 #include "journal.hh"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
-
-#include <sys/stat.h>
-#include <sys/types.h>
 
 #include "common/log.hh"
 #include "common/serialize.hh"
@@ -25,20 +20,6 @@ namespace
 constexpr std::uint32_t kTagManifest = 0x4D414E49; // 'MANI'
 constexpr std::uint32_t kTagPoint = 0x504F494E;    // 'POIN'
 constexpr std::uint32_t kTagRun = 0x52554E52;      // 'RUNR'
-
-void
-ensureDir(const std::string &path)
-{
-    // serve/io has the sanctioned ensureDir, but sim/ cannot depend
-    // on serve/; this mirror is the one allowed raw-errno site here.
-    // mopac-lint: allow(io-errno)
-    if (::mkdir(path.c_str(), 0777) == 0 || errno == EEXIST) {
-        return;
-    }
-    const int err = errno; // mopac-lint: allow(io-errno)
-    throw SerializeError(format("cannot create directory {}: {}", path,
-                                std::strerror(err)));
-}
 
 void
 saveRunResult(Serializer &ser, const RunResult &run)

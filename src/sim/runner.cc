@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <thread>
 
 #include "common/log.hh"
@@ -31,88 +30,6 @@ namespace mopac
 
 namespace
 {
-
-/**
- * One attempt at a point on @p cfg (the guarded config, its fault
- * stream reseeded on retries; @p attempt counts from 1).  Fills
- * @p outcome, or returns false when the attempt yielded at a
- * checkpoint instead of reaching a terminal state.
- */
-using AttemptFn = std::function<bool(const SystemConfig &cfg,
-                                     unsigned attempt,
-                                     RunOutcome &outcome)>;
-
-/**
- * The guard / retry / classify body behind replay() and
- * replayCheckpointed().  Applies the point_max_cycles guard, re-runs
- * a fault-plan point whose attempt classified VIOLATED or HUNG with a
- * reseeded fault stream (deterministic: attempt n always draws
- * streamSeed(base, n)), and classifies the last attempt into
- * @p result.  Returns false when an attempt yielded; @p result then
- * holds only the point's identity, attempts and wall time.
- */
-bool
-runAttempts(const ExperimentPoint &point, const RunnerOptions &opts,
-            const AttemptFn &attempt, PointResult &result)
-{
-    const auto start = wallclock::now();
-
-    SystemConfig cfg = point.cfg;
-    if (cfg.max_cycles == 0 && opts.point_max_cycles > 0) {
-        cfg.max_cycles = opts.point_max_cycles;
-    }
-    result.point_id = point.point_id;
-    result.seed = cfg.seed;
-
-    // Fault-free points never loop.
-    const bool faulted_cfg = cfg.faults.enabled();
-    const std::uint64_t base_fault_seed =
-        cfg.faults.seed != 0 ? cfg.faults.seed : cfg.seed;
-
-    RunOutcome outcome;
-    unsigned n = 0;
-    for (;;) {
-        ++n;
-        if (!attempt(cfg, n, outcome)) {
-            result.attempts = n;
-            result.wall_seconds = wallclock::secondsSince(start);
-            return false;
-        }
-        const bool bad = outcome.outcome == OutcomeClass::kViolated ||
-                         outcome.outcome == OutcomeClass::kHung;
-        if (!faulted_cfg || !bad || n > opts.fault_retries) {
-            break;
-        }
-        cfg.faults.seed = Rng::streamSeed(base_fault_seed, n);
-    }
-    result.attempts = n;
-    result.outcome = outcome.outcome;
-    result.wall_seconds = wallclock::secondsSince(start);
-
-    if (!outcome.ok) {
-        result.status =
-            faulted_cfg ? PointStatus::kFaulted : PointStatus::kFailed;
-        result.error = outcome.error;
-        return true;
-    }
-    result.run = std::move(outcome.result);
-    result.stats = std::move(outcome.stats);
-    if (result.run.timed_out) {
-        result.status =
-            faulted_cfg ? PointStatus::kFaulted : PointStatus::kTimedOut;
-        result.error = "hit the max_cycles guard";
-    } else if (faulted_cfg &&
-               outcome.outcome == OutcomeClass::kViolated) {
-        result.status = PointStatus::kFaulted;
-        result.error = format(
-            "security violated under fault plan ({} violations, max "
-            "unmitigated {})",
-            result.run.violations, result.run.max_unmitigated);
-    } else {
-        result.status = PointStatus::kOk;
-    }
-    return true;
-}
 
 std::size_t
 countNotRun(const std::vector<PointResult> &results)
@@ -320,55 +237,63 @@ Runner::runJournaled(const std::vector<ExperimentPoint> &points,
 PointResult
 Runner::replay(const ExperimentPoint &point, const RunnerOptions &opts)
 {
-    PointResult result;
-    runAttempts(
-        point, opts,
-        [&point](const SystemConfig &cfg, unsigned, RunOutcome &outcome) {
-            outcome = tryRunWorkload(cfg, point.workload,
-                                     /*capture_stats=*/true);
-            return true;
-        },
-        result);
-    return result;
-}
+    const auto start = wallclock::now();
 
-CheckpointedPointRun
-Runner::replayCheckpointed(const ExperimentPoint &point,
-                           const RunnerOptions &opts,
-                           const CheckpointOptions &ckpt)
-{
-    CheckpointOptions run_ckpt = ckpt;
-    if (!run_ckpt.restore_path.empty() &&
-        !fileExists(run_ckpt.restore_path)) {
-        run_ckpt.restore_path.clear();
+    SystemConfig cfg = point.cfg;
+    if (cfg.max_cycles == 0 && opts.point_max_cycles > 0) {
+        cfg.max_cycles = opts.point_max_cycles;
     }
+    PointResult result;
+    result.point_id = point.point_id;
+    result.seed = cfg.seed;
 
-    CheckpointedPointRun out;
-    const auto attempt = [&](const SystemConfig &cfg, unsigned n,
-                             RunOutcome &outcome) {
-        if (n > 1) {
-            // A reseeded fault stream is a different execution: the
-            // old snapshot must not leak into the retry.
-            if (!ckpt.save_path.empty()) {
-                std::remove(ckpt.save_path.c_str());
-            }
-            run_ckpt.restore_path.clear();
+    // Re-run a fault-plan point whose attempt classified VIOLATED or
+    // HUNG with a reseeded fault stream (deterministic: attempt n
+    // always draws streamSeed(base, n)).  Fault-free points never loop.
+    const bool faulted_cfg = cfg.faults.enabled();
+    const std::uint64_t base_fault_seed =
+        cfg.faults.seed != 0 ? cfg.faults.seed : cfg.seed;
+
+    RunOutcome outcome;
+    unsigned n = 0;
+    for (;;) {
+        ++n;
+        outcome = tryRunWorkload(cfg, point.workload,
+                                 /*capture_stats=*/true);
+        const bool bad = outcome.outcome == OutcomeClass::kViolated ||
+                         outcome.outcome == OutcomeClass::kHung;
+        if (!faulted_cfg || !bad || n > opts.fault_retries) {
+            break;
         }
-        CheckpointedRun chk;
-        outcome = trapRun([&](RunOutcome &trapped) {
-            chk = runWorkloadCheckpointed(cfg, point.workload, run_ckpt,
-                                          &trapped.stats);
-            trapped.result = chk.result;
-        });
-        out.resumed_from = chk.resumed_from;
-        out.executed_cycles = chk.executed_cycles;
-        // Preempted (or stop-interrupted) at a snapshot-durable
-        // boundary: hand back the resumable state instead of a
-        // terminal classification.
-        return !outcome.ok || chk.finished;
-    };
-    out.preempted = !runAttempts(point, opts, attempt, out.result);
-    return out;
+        cfg.faults.seed = Rng::streamSeed(base_fault_seed, n);
+    }
+    result.attempts = n;
+    result.outcome = outcome.outcome;
+    result.wall_seconds = wallclock::secondsSince(start);
+
+    if (!outcome.ok) {
+        result.status =
+            faulted_cfg ? PointStatus::kFaulted : PointStatus::kFailed;
+        result.error = outcome.error;
+        return result;
+    }
+    result.run = std::move(outcome.result);
+    result.stats = std::move(outcome.stats);
+    if (result.run.timed_out) {
+        result.status =
+            faulted_cfg ? PointStatus::kFaulted : PointStatus::kTimedOut;
+        result.error = "hit the max_cycles guard";
+    } else if (faulted_cfg &&
+               outcome.outcome == OutcomeClass::kViolated) {
+        result.status = PointStatus::kFaulted;
+        result.error = format(
+            "security violated under fault plan ({} violations, max "
+            "unmitigated {})",
+            result.run.violations, result.run.max_unmitigated);
+    } else {
+        result.status = PointStatus::kOk;
+    }
+    return result;
 }
 
 StatSnapshot

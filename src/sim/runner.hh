@@ -126,23 +126,6 @@ int sweepExitCode(const std::vector<PointResult> &results);
 
 class SweepJournal;
 
-/**
- * Outcome of one checkpoint-capable point execution
- * (Runner::replayCheckpointed).  When @c preempted is true the point
- * yielded at a snapshot-durable boundary: @c result is not a terminal
- * state and the checkpoint file holds the resumable System.  Otherwise
- * @c result is exactly what replay() would have produced.
- */
-struct CheckpointedPointRun
-{
-    bool preempted = false;
-    /** Cycle the last attempt started from (0 = fresh run). */
-    Cycle resumed_from = 0;
-    /** Cycles executed by the last attempt (rework accounting). */
-    Cycle executed_cycles = 0;
-    PointResult result;
-};
-
 /** Outcome of one journaled (resumable) sweep invocation. */
 struct JournaledSweepResult
 {
@@ -205,22 +188,6 @@ class Runner
      */
     static PointResult replay(const ExperimentPoint &point,
                               const RunnerOptions &opts = {});
-
-    /**
-     * Checkpoint-capable single-point execution: replay() with
-     * mid-run snapshots driven by @p ckpt.  @p ckpt.restore_path is
-     * honoured only when the file exists, so callers can pass the
-     * save path for both directions.  Fault-plan retries delete the
-     * checkpoint and restart fresh -- a reseeded fault stream makes
-     * the old snapshot a different execution.  A kPreempt from
-     * ckpt.on_checkpoint (or a graceful stop request) yields with
-     * @c preempted set and the snapshot durable on disk; a later call
-     * restoring that snapshot finishes bit-identically to an
-     * uninterrupted replay().
-     */
-    static CheckpointedPointRun replayCheckpointed(
-        const ExperimentPoint &point, const RunnerOptions &opts,
-        const CheckpointOptions &ckpt);
 
     /**
      * Merge the stat snapshots of all kOk points, in point-id order,

@@ -116,8 +116,15 @@ TEST(Config, BooleanSpellings)
 TEST(Config, NumericFormats)
 {
     Config c;
-    c.parseArgs({"hex=0x10", "fp=2.5e3"});
+    c.parseArgs({"hex=0x10", "fp=2.5e3", "neg_hex=-0x10", "oct=017",
+                 "max=9223372036854775807", "min=-9223372036854775808",
+                 "lo=-1"});
     EXPECT_EQ(c.getInt("hex"), 16);
+    EXPECT_EQ(c.getInt("neg_hex"), -16);
+    EXPECT_EQ(c.getInt("oct"), 15);
+    EXPECT_EQ(c.getInt("max"), std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(c.getInt("min"), std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(c.getInt("lo", 0, -1, 0x7fffffff), -1);
     EXPECT_DOUBLE_EQ(c.getDouble("fp"), 2500.0);
 }
 
@@ -168,6 +175,18 @@ TEST(ConfigDeathTest, TypeErrorsAreFatal)
     c.parseLine("wide = 4294967297");
     EXPECT_EXIT((void)c.getUint("wide", 0, 0xffffffffu),
                 ::testing::ExitedWithCode(1), "not an unsigned integer");
+    // getInt: past INT64_MAX (or below INT64_MIN) is an overflow, and
+    // a value outside the caller's bound is fatal, not narrowed.
+    EXPECT_EXIT((void)c.getInt("huge"), ::testing::ExitedWithCode(1),
+                "not an integer");
+    c.parseLine("past_min = -9223372036854775809");
+    EXPECT_EXIT((void)c.getInt("past_min"),
+                ::testing::ExitedWithCode(1), "not an integer");
+    EXPECT_EXIT((void)c.getInt("wide", 0, -1, 0x7fffffff),
+                ::testing::ExitedWithCode(1), "not an integer");
+    c.parseLine("below = -2");
+    EXPECT_EXIT((void)c.getInt("below", 0, -1, 0x7fffffff),
+                ::testing::ExitedWithCode(1), "not an integer");
 }
 
 TEST(Config, UintAcceptsEveryBaseUpToItsBound)

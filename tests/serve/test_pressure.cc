@@ -1,16 +1,15 @@
 /**
  * @file
  * Resource-pressure tests: the syscall fault shim (deterministic
- * ENOSPC / EINTR / short-write injection), budgeted cache eviction,
- * brownout (storage failures tolerated, results served from memory),
- * and checkpointed preemption with zero-rework resume.
+ * ENOSPC / EINTR / short-write injection), brownout (storage failures
+ * tolerated, results served from memory), and a graceful stop whose
+ * journal resumes to the clean run's results.
  *
  * Threaded socketpair tests never fork, and forking tests never run
  * with live threads, so the whole file is clean under
  * ThreadSanitizer.
  */
 
-#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -43,10 +42,6 @@ tinySweep(std::uint64_t insts = 3000)
         SystemConfig cfg = makeConfig(MitigationKind::kMopacD, trh);
         cfg.insts_per_core = insts;
         cfg.warmup_insts = insts / 10;
-        // Snapshot size scales with PRAC's per-row state; the preempt
-        // tests checkpoint every interval, so a smaller bank keeps
-        // each snapshot write fast (same idiom as test_checkpoint).
-        cfg.geometry.rows_per_bank = 4096;
         spec.configs.push_back(
             {"mopac-d@" + std::to_string(trh), cfg});
     }
@@ -195,73 +190,6 @@ TEST(IoFaultShim, EnospcFailsAtomicWritesWithoutTornFiles)
 }
 
 // ------------------------------------------------------------------
-// Budgeted cache eviction
-// ------------------------------------------------------------------
-
-TEST(CachePressure, BudgetEvictsOldestInsertionFirst)
-{
-    const std::vector<ExperimentPoint> points = tinySweep();
-    PointResult result;
-    result.status = PointStatus::kOk;
-    result.run.cycles = 1234;
-
-    const std::string dir = freshDir("cache_budget");
-    ResultCache cache(dir);
-    for (const ExperimentPoint &point : points) {
-        result.point_id = point.point_id;
-        cache.store(point, result);
-    }
-    const std::uint64_t full = cache.totalBytes();
-    ASSERT_GT(full, 0u);
-    EXPECT_EQ(cache.evictions(), 0u);
-
-    // Budget for roughly half: the earliest-stored entries go first.
-    cache.setBudget(full / 2);
-    EXPECT_GT(cache.evictions(), 0u);
-    EXPECT_LE(cache.totalBytes(), full / 2);
-    EXPECT_FALSE(cache.lookup(points[0]).has_value());
-    EXPECT_TRUE(cache.lookup(points.back()).has_value());
-
-    // A reopened cache rebuilds the same accounting from disk (the
-    // sequence numbers are persisted in the entries).
-    ResultCache reopened(dir);
-    EXPECT_EQ(reopened.totalBytes(), cache.totalBytes());
-    EXPECT_TRUE(reopened.lookup(points.back()).has_value());
-}
-
-TEST(CachePressure, EvictionOrderIsAPureFunctionOfStoreHistory)
-{
-    // Two caches fed the same store sequence and budget evict the
-    // same keys -- insertion-order LRU, never access time (lookups
-    // between stores must not perturb it).
-    const std::vector<ExperimentPoint> points = tinySweep();
-    PointResult result;
-    result.status = PointStatus::kOk;
-
-    std::vector<bool> survive_a;
-    std::vector<bool> survive_b;
-    for (const char *tag : {"order_a", "order_b"}) {
-        const std::string dir = freshDir(tag);
-        ResultCache cache(dir);
-        for (const ExperimentPoint &point : points) {
-            result.point_id = point.point_id;
-            cache.store(point, result);
-            if (std::string(tag) == "order_b") {
-                // Access-pattern noise in one replica only.
-                (void)cache.lookup(points[0]);
-            }
-        }
-        cache.setBudget(cache.totalBytes() / 2);
-        std::vector<bool> &survive =
-            std::string(tag) == "order_a" ? survive_a : survive_b;
-        for (const ExperimentPoint &point : points) {
-            survive.push_back(cache.lookup(point).has_value());
-        }
-    }
-    EXPECT_EQ(survive_a, survive_b);
-}
-
-// ------------------------------------------------------------------
 // Supervised sweeps under storage pressure (brownout)
 // ------------------------------------------------------------------
 
@@ -295,7 +223,10 @@ TEST(SupervisorPressure, EnospcBrownoutKeepsServingResults)
     EXPECT_EQ(report.exitCode(), 0);
     // One failed journal write and one failed cache store per point.
     EXPECT_EQ(report.storage_write_failures, 2 * points.size());
-    EXPECT_EQ(cache.totalBytes(), 0u);
+    for (const auto &entry :
+         std::filesystem::directory_iterator(cache.dir())) {
+        EXPECT_NE(entry.path().extension(), ".rec") << entry.path();
+    }
     for (std::size_t i = 0; i < points.size(); ++i) {
         EXPECT_EQ(report.results[i].status, PointStatus::kOk);
         EXPECT_EQ(canonicalBytes(report.results[i]),
@@ -307,149 +238,25 @@ TEST(SupervisorPressure, EnospcBrownoutKeepsServingResults)
 }
 
 // ------------------------------------------------------------------
-// Checkpointed preemption
+// Graceful stop and journal resume
 // ------------------------------------------------------------------
 
-/** Clean serial reference + a checkpoint interval that guarantees
- *  several checkpoints inside every point. */
-struct PreemptFixture
+TEST(SupervisorStop, GracefulStopThenResumeMatchesCleanRun)
 {
-    std::vector<ExperimentPoint> points;
-    std::vector<PointResult> clean;
-    std::uint64_t total_cycles = 0;
-    std::uint64_t checkpoint_every = 0;
-
-    PreemptFixture()
-    {
-        sweepstop::reset();
-        points = tinySweep();
-        RunnerOptions serial;
-        serial.jobs = 1;
-        clean = Runner(serial).run(points);
-        std::uint64_t min_cycles = ~0ull;
-        for (const PointResult &r : clean) {
-            total_cycles += r.run.cycles;
-            min_cycles = std::min(min_cycles, r.run.cycles);
-        }
-        checkpoint_every = std::max<std::uint64_t>(1, min_cycles / 4);
-    }
-
-    SupervisorOptions options(unsigned workers,
-                              const std::string &ckpt_dir) const
-    {
-        SupervisorOptions opts = fastOptions(workers);
-        opts.job.checkpoint_every = checkpoint_every;
-        opts.checkpoint_dir = ckpt_dir;
-        return opts;
-    }
-};
-
-TEST(SupervisorPreempt, PreemptedPointResumesWithZeroRework)
-{
-    const PreemptFixture fix;
-    const std::uint64_t victim = fix.points[1].point_id;
-    const std::string ckpt_dir = freshDir("preempt_ckpt");
-
-    Supervisor sup(fix.options(2, ckpt_dir));
-    sup.setFailSchedule({{{victim, 1}, FailAction::kPreemptPoint}});
-    const SupervisorReport report = sup.run(fix.points);
-
-    EXPECT_EQ(report.exitCode(), 0);
-    EXPECT_EQ(report.points_preempted, 1u);
-    EXPECT_EQ(report.workers_crashed, 0u) << "preempt is not a crash";
-
-    // The yield is requeued with no strike and no backoff delay.
-    const auto &trace = report.retries.at(victim);
-    ASSERT_EQ(trace.size(), 1u);
-    EXPECT_EQ(trace[0].reason, "preempt");
-    EXPECT_DOUBLE_EQ(trace[0].delay_sec, 0.0);
-
-    // The retry resumed from the checkpoint, not from cycle 0.
-    EXPECT_GT(report.resumed_from.at(victim), 0u);
-
-    // Zero rework: cycles executed across every attempt (durable
-    // checkpoint work + resumed completion) equals the clean serial
-    // total exactly.
-    EXPECT_EQ(report.cycles_executed, fix.total_cycles);
-
-    // Preemption is invisible in the results: bit-identical to the
-    // uninterrupted serial run, and the checkpoint file is gone.
-    for (std::size_t i = 0; i < fix.points.size(); ++i) {
-        EXPECT_EQ(canonicalBytes(report.results[i]),
-                  canonicalBytes(fix.clean[i]));
-    }
-    EXPECT_FALSE(fileExists(ckpt_dir + "/" + std::to_string(victim) +
-                            ".ckpt"));
-}
-
-TEST(SupervisorPreempt, KillAtCheckpointLosesNoWork)
-{
-    const PreemptFixture fix;
-    const std::uint64_t victim = fix.points[2].point_id;
-    const std::string ckpt_dir = freshDir("killckpt");
-
-    Supervisor sup(fix.options(2, ckpt_dir));
-    sup.setFailSchedule({{{victim, 1}, FailAction::kKillAtCheckpoint}});
-    const SupervisorReport report = sup.run(fix.points);
-
-    EXPECT_EQ(report.exitCode(), 0);
-    EXPECT_EQ(report.workers_crashed, 1u);
-
-    // A kill is a strike and retries through crash backoff...
-    const auto &trace = report.retries.at(victim);
-    ASSERT_EQ(trace.size(), 1u);
-    EXPECT_EQ(trace[0].reason, "crash");
-
-    // ...but because the worker was blocked at the rendezvous, the
-    // kill landed exactly at the checkpointed cycle: the retry
-    // resumes there and the executed-cycle ledger balances exactly
-    // (no work ran twice, none was lost).
-    EXPECT_GT(report.resumed_from.at(victim), 0u);
-    EXPECT_EQ(report.cycles_executed, fix.total_cycles);
-
-    for (std::size_t i = 0; i < fix.points.size(); ++i) {
-        EXPECT_EQ(canonicalBytes(report.results[i]),
-                  canonicalBytes(fix.clean[i]));
-    }
-}
-
-TEST(SupervisorPreempt, MidIntervalKillReworkIsBoundedByOneInterval)
-{
-    // A plain SIGKILL at point start (not at a rendezvous): the
-    // attempt dies with whatever checkpoints it had made; the ledger
-    // may exceed the clean total only by work inside one checkpoint
-    // interval.
-    const PreemptFixture fix;
-    const std::uint64_t victim = fix.points[0].point_id;
-    const std::string ckpt_dir = freshDir("midkill");
-
-    Supervisor sup(fix.options(2, ckpt_dir));
-    sup.setFailSchedule({{{victim, 1}, FailAction::kKillWorker}});
-    const SupervisorReport report = sup.run(fix.points);
-
-    EXPECT_EQ(report.exitCode(), 0);
-    EXPECT_GE(report.cycles_executed, fix.total_cycles);
-    EXPECT_LE(report.cycles_executed,
-              fix.total_cycles + fix.checkpoint_every);
-    for (std::size_t i = 0; i < fix.points.size(); ++i) {
-        EXPECT_EQ(canonicalBytes(report.results[i]),
-                  canonicalBytes(fix.clean[i]));
-    }
-}
-
-TEST(SupervisorPreempt, GracefulStopThenResumeMatchesCleanRun)
-{
-    const PreemptFixture fix;
-    const std::string ckpt_dir = freshDir("stop_ckpt");
+    sweepstop::reset();
+    const std::vector<ExperimentPoint> points = tinySweep();
+    RunnerOptions serial;
+    serial.jobs = 1;
+    const std::vector<PointResult> clean = Runner(serial).run(points);
     const std::string jnl_dir = freshDir("stop_jnl");
 
     // Run 1: one worker, stop as soon as the first point resolves.
-    SweepJournal journal_a(jnl_dir, fix.points);
-    Supervisor first(fix.options(1, ckpt_dir));
+    SweepJournal journal_a(jnl_dir, points);
+    Supervisor first(fastOptions(1));
     first.setJournal(&journal_a);
     std::size_t resolved = 0;
     const SupervisorReport partial = first.run(
-        fix.points,
+        points,
         [&resolved](const ExperimentPoint &, const PointResult &) {
             if (++resolved == 1) {
                 sweepstop::requestStop();
@@ -463,21 +270,20 @@ TEST(SupervisorPreempt, GracefulStopThenResumeMatchesCleanRun)
     }
     EXPECT_GE(pending, 2u);
 
-    // Run 2: same journal + checkpoint dir.  Finished points are
-    // adopted, a point that was checkpointed when the stop drained it
-    // resumes mid-stream (the kAssign carries the surviving .ckpt),
-    // and the merged manifest is bit-identical to the clean run.
+    // Run 2: same journal.  Finished points are adopted, the pending
+    // ones run from scratch, and the merged manifest is bit-identical
+    // to the clean run.
     sweepstop::reset();
-    SweepJournal journal_b(jnl_dir, fix.points);
-    Supervisor second(fix.options(1, ckpt_dir));
+    SweepJournal journal_b(jnl_dir, points);
+    Supervisor second(fastOptions(1));
     second.setJournal(&journal_b);
-    const SupervisorReport full = second.run(fix.points);
+    const SupervisorReport full = second.run(points);
 
     EXPECT_EQ(full.exitCode(), 0);
     EXPECT_GE(full.journal_reused, 1u);
-    for (std::size_t i = 0; i < fix.points.size(); ++i) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
         EXPECT_EQ(canonicalBytes(full.results[i]),
-                  canonicalBytes(fix.clean[i]));
+                  canonicalBytes(clean[i]));
     }
 }
 

@@ -149,8 +149,8 @@ main(int argc, char **argv)
     cfg.rowpress = conf.getBool("rowpress", false);
     cfg.srq_capacity =
         static_cast<unsigned>(conf.getUint("srq", 16, kU32));
-    cfg.drain_per_ref =
-        static_cast<int>(conf.getInt("drain", -1));
+    cfg.drain_per_ref = static_cast<int>(conf.getInt(
+        "drain", -1, -1, std::numeric_limits<int>::max()));
     cfg.geometry.chips =
         static_cast<unsigned>(conf.getUint("chips", 4, kU32));
     cfg.engine =
