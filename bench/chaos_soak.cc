@@ -27,11 +27,12 @@
  *
  * Part D turns the deterministic syscall fault shim (serve/io.hh) on
  * the storage and transport layers in one drill, D1 full-disk
- * brownout: a supervised sweep with journal + cache while
- * atomicWriteFile fails with injected ENOSPC and the worker pipes
- * suffer EINTR / short writes.  Every storage failure must be
- * tolerated and counted, and the manifest must stay bit-identical to
- * the serial run.
+ * brownout: a supervised sweep with a journal, behind a caller-side
+ * result cache (lookup before the sweep, store after, as perfbench's
+ * served_sweep does), while atomicWriteFile fails with injected
+ * ENOSPC and the worker pipes suffer EINTR / short writes.  Every
+ * storage failure must be tolerated and counted, and the manifest
+ * must stay bit-identical to the serial run.
  *
  * Flags: the shared bench flags plus `--smoke` (short durations and a
  * reduced grid; what the ctest smoke run uses).
@@ -47,6 +48,7 @@
 
 #include "bench_util.hh"
 #include "common/serialize.hh"
+#include "serve/cache.hh"
 #include "serve/io.hh"
 #include "serve/supervisor.hh"
 #include "sim/attack.hh"
@@ -358,13 +360,24 @@ resourcePressureChaos(bool smoke)
 
     // ---- D1: full-disk brownout --------------------------------
     {
-        // Journal and cache are set up before the shim arms, so the
-        // directory scaffolding itself cannot fault.
-        SweepJournal journal(base + "/journal", points);
+        // Cache and journal are set up before the shim arms, so the
+        // directory scaffolding itself cannot fault.  Only the cache
+        // misses go to the supervisor.
         serve::ResultCache cache(base + "/cache");
+        std::vector<PointResult> results(points.size());
+        std::vector<std::size_t> miss_index;
+        std::vector<ExperimentPoint> misses;
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            if (auto hit = cache.lookup(points[i])) {
+                results[i] = std::move(*hit);
+            } else {
+                miss_index.push_back(i);
+                misses.push_back(points[i]);
+            }
+        }
+        SweepJournal journal(base + "/journal", misses);
         serve::Supervisor sup(pressureOptions());
         sup.setJournal(&journal);
-        sup.setCache(&cache);
 
         serve::IoFaultConfig shim;
         shim.seed = 0xbeef;
@@ -372,32 +385,40 @@ resourcePressureChaos(bool smoke)
         shim.eintr_rate = 0.20;
         shim.short_write_rate = 0.20;
         serve::setIoFaultShim(shim);
-        const serve::SupervisorReport report = sup.run(points);
+        const serve::SupervisorReport report = sup.run(misses);
+        std::uint64_t failures = report.storage_write_failures;
+        for (std::size_t k = 0; k < misses.size(); ++k) {
+            try {
+                cache.store(misses[k], report.results[k]);
+            } catch (const std::exception &) {
+                ++failures; // Brownout: the result stays in memory.
+            }
+            results[miss_index[k]] = report.results[k];
+        }
         const serve::IoFaultStats stats = serve::ioFaultShimStats();
         serve::setIoFaultShim(serve::IoFaultConfig{});
 
         std::size_t mismatches = 0;
         for (std::size_t i = 0; i < points.size(); ++i) {
             mismatches += canonicalBytes(serial[i]) ==
-                                  canonicalBytes(report.results[i])
+                                  canonicalBytes(results[i])
                               ? 0
                               : 1;
         }
         table.row({"D1 brownout",
                    format("enospc {} eintr {} short {}", stats.enospc,
                           stats.eintr, stats.short_writes),
-                   format("storage failures {}",
-                          report.storage_write_failures),
+                   format("storage failures {}", failures),
                    mismatches == 0 ? "identical" : "MISMATCH"});
         if (mismatches > 0) {
             fatal("pressure chaos: {} of {} brownout results differ "
                   "from the serial run",
                   mismatches, points.size());
         }
-        if (report.storage_write_failures == 0 || stats.enospc == 0) {
+        if (failures == 0 || stats.enospc == 0) {
             fatal("pressure chaos: ENOSPC injection never fired "
                   "(failures {}, injected {})",
-                  report.storage_write_failures, stats.enospc);
+                  failures, stats.enospc);
         }
         if (report.exitCode() != 0) {
             fatal("pressure chaos: brownout sweep exit {} != 0",

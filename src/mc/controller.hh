@@ -63,11 +63,10 @@ struct ControllerParams
     Cycle timeout_ton = nsToCycles(200.0);
     /**
      * Reference scheduler: replace the indexed candidate walks with
-     * the pre-ISSUE-9 full-queue scans.  Bit-identical to the indexed
-     * path by design -- the scheduler property test drives both over
-     * randomized traffic to prove it.  Deliberately excluded from
-     * configSignature() and the serve wire format, like the run-loop
-     * engine choice.
+     * full-queue scans.  Bit-identical to the indexed path by design
+     * -- the scheduler property test drives both over randomized
+     * traffic to prove it.  Deliberately excluded from
+     * configSignature(), like the run-loop engine choice.
      */
     bool naive_scan = false;
 };

@@ -1,12 +1,11 @@
 /**
  * @file
- * Wire codec + framing implementation.
+ * Assignment codec + framing implementation.
  */
 
 #include "protocol.hh"
 
 #include "common/format.hh"
-#include "sim/journal.hh"
 
 namespace mopac::serve
 {
@@ -14,208 +13,18 @@ namespace mopac::serve
 namespace
 {
 
-/** Section tags (serve-layer range, disjoint from journal tags). */
-constexpr std::uint32_t kTagConfig = 0x53434647; // 'SCFG'
-constexpr std::uint32_t kTagPointHdr = 0x53505448; // 'SPTH'
+/** Section tag (serve-layer range, disjoint from journal tags). */
 constexpr std::uint32_t kTagAssign = 0x5341474E; // 'SAGN'
-constexpr std::uint32_t kTagEvent = 0x53455654;  // 'SEVT'
-
-std::uint8_t
-checkedEnum(std::uint64_t value, std::uint64_t max_value,
-            const char *what)
-{
-    if (value > max_value) {
-        throw SerializeError(
-            format("invalid {} value {}", what, value));
-    }
-    return static_cast<std::uint8_t>(value);
-}
 
 } // namespace
-
-void
-saveSystemConfig(Serializer &ser, const SystemConfig &cfg)
-{
-    ser.begin(kTagConfig);
-
-    // Geometry.
-    ser.putU32(cfg.geometry.num_subchannels);
-    ser.putU32(cfg.geometry.banks_per_subchannel);
-    ser.putU32(cfg.geometry.rows_per_bank);
-    ser.putU32(cfg.geometry.row_bytes);
-    ser.putU32(cfg.geometry.line_bytes);
-    ser.putU32(cfg.geometry.mop_lines);
-    ser.putU32(cfg.geometry.chips);
-
-    // Mitigation + engine knobs.
-    ser.putU8(static_cast<std::uint8_t>(cfg.mitigation));
-    ser.putU32(cfg.trh);
-    ser.putU32(cfg.ath_override);
-    ser.putU32(cfg.ath_star_override);
-    ser.putU32(cfg.srq_capacity);
-    ser.putU32(cfg.tth);
-    ser.putU32(static_cast<std::uint32_t>(cfg.drain_per_ref + 1));
-    ser.putU8(cfg.nup ? 1 : 0);
-    ser.putU8(cfg.rowpress ? 1 : 0);
-    ser.putU8(static_cast<std::uint8_t>(cfg.sampler));
-    ser.putU8(static_cast<std::uint8_t>(cfg.engine));
-
-    // Controller.
-    ser.putU32(cfg.mc.read_queue_cap);
-    ser.putU32(cfg.mc.write_queue_cap);
-    ser.putU32(cfg.mc.wq_drain_high);
-    ser.putU32(cfg.mc.wq_drain_low);
-    ser.putU8(static_cast<std::uint8_t>(cfg.mc.page_policy));
-    ser.putU64(cfg.mc.timeout_ton);
-
-    // Core + run horizon.
-    ser.putU32(cfg.core.rob_entries);
-    ser.putU32(cfg.core.width);
-    ser.putU32(cfg.core.mshrs);
-    ser.putU32(cfg.num_cores);
-    ser.putU64(cfg.insts_per_core);
-    ser.putU64(cfg.warmup_insts);
-    ser.putU64(cfg.seed);
-    ser.putU64(cfg.max_cycles);
-    ser.putU64(cfg.watchdog_cycles);
-    ser.putU32(cfg.watchdog_tail);
-
-    // Fault plan.
-    ser.putU64(cfg.faults.seed);
-    ser.putF64(cfg.faults.intensity);
-    for (const FaultSpec &spec : cfg.faults.specs) {
-        ser.putF64(spec.rate);
-        ser.putU64(spec.at);
-        ser.putU64(spec.duration);
-        ser.putU32(spec.chip);
-    }
-
-    // Epoch statistics.
-    ser.putU8(cfg.track_epoch_stats ? 1 : 0);
-    ser.putU64(cfg.epoch_cycles);
-    ser.putU32(cfg.epoch_hi1);
-    ser.putU32(cfg.epoch_hi2);
-
-    // Drift guard: the receiver recomputes this over the decoded
-    // config, so a codec that loses a signature-relevant field can
-    // never silently produce a different simulation.
-    ser.putStr(configSignature(cfg));
-    ser.end();
-}
-
-SystemConfig
-loadSystemConfig(Deserializer &des)
-{
-    SystemConfig cfg;
-    des.begin(kTagConfig);
-
-    cfg.geometry.num_subchannels = des.getU32();
-    cfg.geometry.banks_per_subchannel = des.getU32();
-    cfg.geometry.rows_per_bank = des.getU32();
-    cfg.geometry.row_bytes = des.getU32();
-    cfg.geometry.line_bytes = des.getU32();
-    cfg.geometry.mop_lines = des.getU32();
-    cfg.geometry.chips = des.getU32();
-
-    cfg.mitigation = static_cast<MitigationKind>(checkedEnum(
-        des.getU8(),
-        static_cast<std::uint64_t>(MitigationKind::kQprac),
-        "mitigation kind"));
-    cfg.trh = des.getU32();
-    cfg.ath_override = des.getU32();
-    cfg.ath_star_override = des.getU32();
-    cfg.srq_capacity = des.getU32();
-    cfg.tth = des.getU32();
-    cfg.drain_per_ref = static_cast<int>(des.getU32()) - 1;
-    cfg.nup = des.getU8() != 0;
-    cfg.rowpress = des.getU8() != 0;
-    cfg.sampler = static_cast<MopacDEngine::SamplerKind>(checkedEnum(
-        des.getU8(),
-        static_cast<std::uint64_t>(MopacDEngine::SamplerKind::kPara),
-        "sampler kind"));
-    cfg.engine = static_cast<SimEngine>(checkedEnum(
-        des.getU8(), static_cast<std::uint64_t>(SimEngine::kEvent),
-        "sim engine"));
-
-    cfg.mc.read_queue_cap = des.getU32();
-    cfg.mc.write_queue_cap = des.getU32();
-    cfg.mc.wq_drain_high = des.getU32();
-    cfg.mc.wq_drain_low = des.getU32();
-    cfg.mc.page_policy = static_cast<PagePolicy>(checkedEnum(
-        des.getU8(), static_cast<std::uint64_t>(PagePolicy::kTimeout),
-        "page policy"));
-    cfg.mc.timeout_ton = des.getU64();
-
-    cfg.core.rob_entries = des.getU32();
-    cfg.core.width = des.getU32();
-    cfg.core.mshrs = des.getU32();
-    cfg.num_cores = des.getU32();
-    cfg.insts_per_core = des.getU64();
-    cfg.warmup_insts = des.getU64();
-    cfg.seed = des.getU64();
-    cfg.max_cycles = des.getU64();
-    cfg.watchdog_cycles = des.getU64();
-    cfg.watchdog_tail = des.getU32();
-
-    cfg.faults.seed = des.getU64();
-    cfg.faults.intensity = des.getF64();
-    for (FaultSpec &spec : cfg.faults.specs) {
-        spec.rate = des.getF64();
-        spec.at = des.getU64();
-        spec.duration = des.getU64();
-        spec.chip = des.getU32();
-    }
-
-    cfg.track_epoch_stats = des.getU8() != 0;
-    cfg.epoch_cycles = des.getU64();
-    cfg.epoch_hi1 = des.getU32();
-    cfg.epoch_hi2 = des.getU32();
-
-    const std::string sent_signature = des.getStr();
-    des.end();
-
-    const std::string got_signature = configSignature(cfg);
-    if (got_signature != sent_signature) {
-        throw SerializeError(format(
-            "config codec drift: decoded signature\n  {}\ndoes not "
-            "match the sender's\n  {}",
-            got_signature, sent_signature));
-    }
-    return cfg;
-}
-
-void
-savePoint(Serializer &ser, const ExperimentPoint &point)
-{
-    ser.begin(kTagPointHdr);
-    ser.putU64(point.point_id);
-    ser.putStr(point.config_label);
-    ser.putStr(point.workload);
-    ser.end();
-    saveSystemConfig(ser, point.cfg);
-}
-
-ExperimentPoint
-loadPoint(Deserializer &des)
-{
-    ExperimentPoint point;
-    des.begin(kTagPointHdr);
-    point.point_id = des.getU64();
-    point.config_label = des.getStr();
-    point.workload = des.getStr();
-    des.end();
-    point.cfg = loadSystemConfig(des);
-    return point;
-}
 
 void
 saveAssignment(Serializer &ser, const Assignment &assignment)
 {
     ser.begin(kTagAssign);
-    ser.putU32(assignment.attempt);
+    ser.putU64(assignment.index);
     ser.putU32(assignment.raise_signal);
     ser.end();
-    savePoint(ser, assignment.point);
 }
 
 Assignment
@@ -223,31 +32,10 @@ loadAssignment(Deserializer &des)
 {
     Assignment assignment;
     des.begin(kTagAssign);
-    assignment.attempt = des.getU32();
+    assignment.index = des.getU64();
     assignment.raise_signal = des.getU32();
     des.end();
-    assignment.point = loadPoint(des);
     return assignment;
-}
-
-void
-savePointEvent(Serializer &ser, const PointEvent &event)
-{
-    ser.begin(kTagEvent);
-    ser.putU64(event.point_id);
-    ser.putU32(event.attempt);
-    ser.end();
-}
-
-PointEvent
-loadPointEvent(Deserializer &des)
-{
-    PointEvent event;
-    des.begin(kTagEvent);
-    event.point_id = des.getU64();
-    event.attempt = des.getU32();
-    des.end();
-    return event;
 }
 
 std::vector<std::uint8_t>

@@ -17,12 +17,10 @@
  * integrity over every frame, and tagged sections so reader/writer
  * drift is detected rather than misparsed.
  *
- * Configurations cross the wire through saveSystemConfig(), which
- * also embeds the sender's configSignature(); loadSystemConfig()
- * recomputes the signature over the decoded config and throws on any
- * mismatch.  A codec that silently dropped or reordered a field can
- * therefore never produce a wrong simulation -- it produces a
- * structured decode error at the first message.
+ * No configuration crosses the wire.  A worker is fork()ed by
+ * Supervisor::run() after the point list exists, so it already holds
+ * every point: an assignment names a point by its index into that
+ * list, and the reply is the finished PointResult.
  */
 
 #ifndef MOPAC_SERVE_PROTOCOL_HH
@@ -34,8 +32,6 @@
 
 #include "common/serialize.hh"
 #include "serve/io.hh"
-#include "sim/runner.hh"
-#include "sim/sharding.hh"
 
 namespace mopac::serve
 {
@@ -49,85 +45,35 @@ enum class MsgType : std::uint64_t
     kError = 55,  //!< Placeholder type of a message not yet received.
 
     // Supervisor -> worker.
-    kAssign = 100, //!< A chunk of points to execute.
+    kAssign = 100, //!< One point to execute.
     kRetire,       //!< Drain and exit cleanly.
 
     // Worker -> supervisor.
-    kPointStart = 150, //!< About to run a point (doubles as a beat).
-    kPointDone,        //!< One finished PointResult.
-    kHeartbeat,        //!< Idle liveness beat.
+    kPointDone = 150, //!< One finished PointResult.
+    kHeartbeat,       //!< Idle liveness beat.
 };
 
-/** Where a supervised point's result came from. */
-enum class PointSource : std::uint8_t
-{
-    kPending,    //!< Not finished yet (a graceful stop cut it off).
-    kFresh,      //!< Simulated by a worker, or adopted from the journal.
-    kCache,      //!< Served from the content-addressed result cache.
-    kQuarantine, //!< Quarantined after exhausting its retries.
-};
-
-/** One chunk assignment (kAssign payload). */
+/** One point assignment (kAssign payload). */
 struct Assignment
 {
-    /** Supervisor-level attempt number (1-based; backoff bookkeeping
-     *  only -- the simulation seed is attempt-independent, so every
-     *  attempt of a point is bit-identical). */
-    std::uint32_t attempt = 1;
-    /** The point to execute. */
-    ExperimentPoint point;
+    /** Position of the point in the list passed to Supervisor::run()
+     *  (not its point_id: a caller may pass a sparse subset). */
+    std::uint64_t index = 0;
     /**
      * Injected failure: 0 (none), SIGKILL or SIGSTOP, which the
-     * worker raises on itself right after sending kPointStart.
-     * Raised by the worker rather than signalled by the supervisor
-     * on receipt of kPointStart, so a point that finishes quickly
-     * cannot escape its scripted failure.
+     * worker raises on itself as soon as it receives the assignment.
+     * Raised by the worker rather than signalled by the supervisor,
+     * so a point that finishes quickly cannot escape its scripted
+     * failure.
      */
     std::uint32_t raise_signal = 0;
 };
-
-/** Point lifecycle beat (kPointStart payload; kPointDone prefix). */
-struct PointEvent
-{
-    std::uint64_t point_id = 0;
-    std::uint32_t attempt = 1;
-};
-
-// ------------------------------------------------------------------
-// Field codecs
-// ------------------------------------------------------------------
-
-/** Serialize a full SystemConfig (including its fault plan). */
-void saveSystemConfig(Serializer &ser, const SystemConfig &cfg);
-
-/**
- * Restore a SystemConfig saved by saveSystemConfig().  Throws
- * SerializeError when the recomputed configSignature() differs from
- * the embedded one (codec drift) or any enum field is out of range.
- */
-SystemConfig loadSystemConfig(Deserializer &des);
-
-/** Serialize one ExperimentPoint (id, label, workload, config). */
-void savePoint(Serializer &ser, const ExperimentPoint &point);
-
-/** Restore an ExperimentPoint saved by savePoint(). */
-ExperimentPoint loadPoint(Deserializer &des);
 
 /** Serialize an Assignment. */
 void saveAssignment(Serializer &ser, const Assignment &assignment);
 
 /** Restore an Assignment. */
 Assignment loadAssignment(Deserializer &des);
-
-/** Serialize a PointEvent. */
-void savePointEvent(Serializer &ser, const PointEvent &event);
-
-/** Restore a PointEvent. */
-PointEvent loadPointEvent(Deserializer &des);
-
-// ------------------------------------------------------------------
-// Framing
-// ------------------------------------------------------------------
 
 /**
  * Seal @p ser into a full frame (length prefix + container) for

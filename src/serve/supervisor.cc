@@ -13,11 +13,23 @@
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "serve/io.hh"
+#include "serve/protocol.hh"
 #include "serve/worker.hh"
 #include "sim/stop.hh"
 
 namespace mopac::serve
 {
+
+namespace
+{
+
+/** Seconds granted to in-flight points after a graceful stop. */
+constexpr double kDrainDeadlineSec = 10.0;
+
+/** Seed of the chaos decision streams (chaos_kill_rate/stop_rate). */
+constexpr std::uint64_t kChaosSeed = 0x63686f6b696c6cull;
+
+} // namespace
 
 /** One worker process slot. */
 struct Supervisor::Slot
@@ -105,7 +117,8 @@ Supervisor::spawnWorker(Slot &slot)
         for (const Slot &other : slots_) {
             closeQuiet(other.fd);
         }
-        ::_exit(workerMain(pair.worker_fd, opts_.heartbeat_sec));
+        ::_exit(workerMain(pair.worker_fd, opts_.heartbeat_sec,
+                           *points_));
     }
     closeQuiet(pair.worker_fd);
     slot.pid = pid;
@@ -125,11 +138,9 @@ Supervisor::killWorker(Slot &slot)
 }
 
 void
-Supervisor::resolve(std::size_t index, const PointResult &result,
-                    PointSource source)
+Supervisor::resolve(std::size_t index, const PointResult &result)
 {
     report_->results[index] = result;
-    report_->sources[index] = source;
     MOPAC_ASSERT(unresolved_ > 0);
     --unresolved_;
     if (progress_ && *progress_) {
@@ -157,31 +168,6 @@ Supervisor::journalRecord(const PointResult &result)
 }
 
 void
-Supervisor::resolveFresh(std::size_t index, const PointResult &result)
-{
-    const ExperimentPoint &point = (*points_)[index];
-    // Cache before journal: a supervisor killed between the two
-    // writes leaves a cached point the rerun answers from the cache.
-    // The other order leaves a journaled point that is never cached,
-    // so a later identical sweep re-simulates it.
-    if (cache_ && result.status == PointStatus::kOk) {
-        try {
-            cache_->store(point, result);
-        } catch (const std::exception &err) {
-            ++report_->storage_write_failures;
-            warn("supervisor: cache store for point {} failed ({}); "
-                 "continuing uncached",
-                 point.point_id, err.what());
-        }
-    }
-    journalRecord(result);
-    resolve(index, result,
-            result.status == PointStatus::kOk
-                ? PointSource::kFresh
-                : PointSource::kQuarantine);
-}
-
-void
 Supervisor::quarantine(std::size_t index, std::uint32_t attempts,
                        bool hang)
 {
@@ -199,7 +185,7 @@ Supervisor::quarantine(std::size_t index, std::uint32_t attempts,
     warn("supervisor: point {} quarantined: {}", point.point_id,
          result.error);
     journalRecord(result);
-    resolve(index, result, PointSource::kQuarantine);
+    resolve(index, result);
 }
 
 void
@@ -256,7 +242,7 @@ Supervisor::failureSignal(std::uint64_t point_id,
     if (opts_.chaos_kill_rate <= 0.0 && opts_.chaos_stop_rate <= 0.0) {
         return 0;
     }
-    Rng rng = Rng::forStream(Rng::streamSeed(opts_.chaos_seed, point_id),
+    Rng rng = Rng::forStream(Rng::streamSeed(kChaosSeed, point_id),
                              attempt);
     const double u = rng.uniform();
     if (u < opts_.chaos_kill_rate) {
@@ -287,10 +273,9 @@ Supervisor::assignReady(wallclock::TimePoint now)
         pending_.erase(it);
 
         Assignment assignment;
-        assignment.attempt = item.attempt;
-        assignment.point = (*points_)[item.index];
+        assignment.index = item.index;
         assignment.raise_signal =
-            failureSignal(assignment.point.point_id, item.attempt);
+            failureSignal((*points_)[item.index].point_id, item.attempt);
         Serializer ser;
         saveAssignment(ser, assignment);
         bool sent = false;
@@ -307,6 +292,7 @@ Supervisor::assignReady(wallclock::TimePoint now)
             killWorker(slot);
             continue;
         }
+        // The hang clock starts with the assignment.
         slot.busy = true;
         slot.index = item.index;
         slot.attempt = item.attempt;
@@ -334,38 +320,24 @@ Supervisor::handleMessage(Slot &slot)
         // spurious wakeup; nothing to do.
         return;
     }
-    const auto now = wallclock::now();
-    slot.last_beat = now;
+    slot.last_beat = wallclock::now();
     try {
         switch (msg.type) {
           case MsgType::kHeartbeat:
             break;
-          case MsgType::kPointStart: {
-            const PointEvent event = loadPointEvent(*msg.payload);
-            msg.payload->finish();
-            if (!slot.busy ||
-                (*points_)[slot.index].point_id != event.point_id) {
-                throw SerializeError(format(
-                    "unexpected start of point {}", event.point_id));
-            }
-            // The hang clock starts when simulation actually starts.
-            slot.busy_since = now;
-            break;
-          }
           case MsgType::kPointDone: {
-            const PointEvent event = loadPointEvent(*msg.payload);
             const PointResult result =
                 loadPointResult(*msg.payload);
             msg.payload->finish();
             if (!slot.busy ||
-                (*points_)[slot.index].point_id != event.point_id) {
+                (*points_)[slot.index].point_id != result.point_id) {
                 throw SerializeError(format(
                     "unexpected completion of point {}",
-                    event.point_id));
+                    result.point_id));
             }
-            const std::size_t index = slot.index;
             slot.busy = false;
-            resolveFresh(index, result);
+            journalRecord(result);
+            resolve(slot.index, result);
             break;
           }
           default:
@@ -443,7 +415,6 @@ Supervisor::run(const std::vector<ExperimentPoint> &points,
 {
     SupervisorReport report;
     report.results = SweepJournal::adopt(journal_, points);
-    report.sources.assign(points.size(), PointSource::kPending);
 
     points_ = &points;
     report_ = &report;
@@ -452,22 +423,14 @@ Supervisor::run(const std::vector<ExperimentPoint> &points,
     strikes_.assign(points.size(), 0);
     unresolved_ = points.size();
 
-    // Report journal-adopted results first, then answer from the
-    // cache; only the remainder is scheduled onto workers.
+    // Report journal-adopted results first; only the remainder is
+    // scheduled onto workers.
     for (std::size_t i = 0; i < points.size(); ++i) {
         if (report.results[i].status != PointStatus::kNotRun) {
             ++report.journal_reused;
             const PointResult adopted = report.results[i];
-            resolve(i, adopted, PointSource::kFresh);
+            resolve(i, adopted);
             continue;
-        }
-        if (cache_) {
-            if (auto cached = cache_->lookup(points[i])) {
-                ++report.cache_hits;
-                journalRecord(*cached);
-                resolve(i, *cached, PointSource::kCache);
-                continue;
-            }
         }
         Pending pending;
         pending.index = i;
@@ -489,11 +452,8 @@ Supervisor::run(const std::vector<ExperimentPoint> &points,
 
         if (!stopping && sweepstop::stopRequested()) {
             stopping = true;
-            pending_.clear(); // Unstarted points stay kPending.
-            drain_deadline = wallclock::deadlineAfter(
-                opts_.drain_deadline_sec > 0.0
-                    ? opts_.drain_deadline_sec
-                    : 3600.0);
+            pending_.clear(); // Unstarted points stay kNotRun.
+            drain_deadline = wallclock::deadlineAfter(kDrainDeadlineSec);
         }
         if (stopping) {
             const bool abort =

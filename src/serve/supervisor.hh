@@ -28,11 +28,17 @@
  * worker SIGKILL is bit-identical to a clean first run -- the final
  * manifest of a chaos-ridden sweep equals the clean serial one.
  *
- * Storage failures (journal or cache writes) are tolerated as a
- * brownout: the result stays in memory and the failure is counted.
- * A graceful stop (sweepstop) lets in-flight points finish within
- * drain_deadline_sec and leaves the rest kPending; with a journal, a
- * rerun adopts the finished points and runs only the remainder.
+ * Workers are fork()ed inside run(), after the point list exists,
+ * so each one already holds every point: the wire carries only the
+ * index of the point to run and the finished PointResult back.
+ *
+ * Journal write failures are tolerated as a brownout: the result
+ * stays in memory and the failure is counted.  A graceful stop
+ * (sweepstop) lets in-flight points finish within a fixed drain
+ * deadline and leaves the rest kNotRun; with a journal, a rerun
+ * adopts the finished points and runs only the remainder.  Result
+ * caching is the caller's job: look up before run(), pass only the
+ * misses, store after.
  *
  * The supervisor is single-threaded (poll-based event loop), which
  * keeps fork() safe under TSAN.  Callers are perfbench's
@@ -50,8 +56,6 @@
 #include <vector>
 
 #include "common/wallclock.hh"
-#include "serve/cache.hh"
-#include "serve/protocol.hh"
 #include "sim/journal.hh"
 #include "sim/runner.hh"
 
@@ -82,18 +86,14 @@ struct SupervisorOptions
     double backoff_cap_sec = 2.0;
     /** Counter-mode seed of the backoff jitter streams. */
     std::uint64_t backoff_seed = 0x6d6f706163736572ull;
-    /** Seconds granted to in-flight points after a graceful stop. */
-    double drain_deadline_sec = 10.0;
 
     // Chaos injection (bench/chaos_soak kWorkerKill, smoke tests).
     // Decisions are drawn per (point, attempt) from counter-mode
-    // streams of chaos_seed, so they are worker-count invariant.
+    // streams of one fixed seed, so they are worker-count invariant.
     /** P(SIGKILL the worker right after it starts an attempt). */
     double chaos_kill_rate = 0.0;
     /** P(SIGSTOP instead -- exercises the hang watchdog). */
     double chaos_stop_rate = 0.0;
-    /** Seed of the chaos decision streams. */
-    std::uint64_t chaos_seed = 0x63686f6b696c6cull;
 };
 
 /** One reschedule decision (retry-trace row). */
@@ -110,10 +110,12 @@ struct RetryRecord
 /** Everything a supervised sweep reports back. */
 struct SupervisorReport
 {
-    /** Per-point results, indexed like the input point list. */
+    /**
+     * Per-point results, indexed like the input point list.  kNotRun
+     * marks a point a graceful stop cut off; any status other than
+     * kOk and kNotRun is a quarantined point.
+     */
     std::vector<PointResult> results;
-    /** Where each result came from (kPending = stop cut it off). */
-    std::vector<PointSource> sources;
     /**
      * Retry trace: point_id -> ordered reschedule decisions.  A pure
      * function of (seeds, injected failure schedule), so two runs
@@ -127,14 +129,12 @@ struct SupervisorReport
     std::uint64_t workers_crashed = 0;
     /** Workers SIGKILLed by the hang/heartbeat watchdogs. */
     std::uint64_t workers_hung_killed = 0;
-    /** Points served from the result cache. */
-    std::uint64_t cache_hits = 0;
     /** Points adopted finished from the journal. */
     std::uint64_t journal_reused = 0;
-    /** Journal/cache writes that failed and were tolerated (the
-     *  result stays in memory; the sweep keeps serving -- brownout). */
+    /** Journal writes that failed and were tolerated (the result
+     *  stays in memory; the sweep keeps serving -- brownout). */
     std::uint64_t storage_write_failures = 0;
-    /** True when a graceful stop left points kPending. */
+    /** True when a graceful stop left points kNotRun. */
     bool stopped = false;
 
     /** Exit code per the shared map in sim/stop.hh. */
@@ -155,9 +155,6 @@ class Supervisor
 
     /** Record finished points into @p journal (borrowed; may be null). */
     void setJournal(SweepJournal *journal) { journal_ = journal; }
-
-    /** Serve/store OK results via @p cache (borrowed; may be null). */
-    void setCache(ResultCache *cache) { cache_ = cache; }
 
     /**
      * Inject a deterministic failure schedule: when the mapped
@@ -198,9 +195,7 @@ class Supervisor
                                 std::uint32_t attempt) const;
     void onWorkerDeath(Slot &slot, bool hang);
     void journalRecord(const PointResult &result);
-    void resolveFresh(std::size_t index, const PointResult &result);
-    void resolve(std::size_t index, const PointResult &result,
-                 PointSource source);
+    void resolve(std::size_t index, const PointResult &result);
     void quarantine(std::size_t index, std::uint32_t attempts,
                     bool hang);
     void reschedule(std::size_t index, std::uint32_t failed_attempt,
@@ -209,7 +204,6 @@ class Supervisor
 
     SupervisorOptions opts_;
     SweepJournal *journal_ = nullptr;
-    ResultCache *cache_ = nullptr;
     std::map<std::pair<std::uint64_t, std::uint32_t>, FailAction>
         fail_schedule_;
 

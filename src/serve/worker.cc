@@ -15,39 +15,9 @@
 namespace mopac::serve
 {
 
-namespace
-{
-
-/** Execute one assignment and report the result. */
-bool
-runAssignment(int fd, const Assignment &assignment)
-{
-    PointEvent event;
-    event.point_id = assignment.point.point_id;
-    event.attempt = assignment.attempt;
-
-    Serializer start;
-    savePointEvent(start, event);
-    if (sendMessage(fd, start, MsgType::kPointStart, 10.0) !=
-        IoStatus::kOk) {
-        return false;
-    }
-    if (assignment.raise_signal != 0) {
-        ::raise(static_cast<int>(assignment.raise_signal));
-    }
-
-    const PointResult result = Runner::replay(assignment.point);
-    Serializer done;
-    savePointEvent(done, event);
-    savePointResult(done, result);
-    return sendMessage(fd, done, MsgType::kPointDone, 30.0) ==
-           IoStatus::kOk;
-}
-
-} // namespace
-
 int
-workerMain(int fd, double heartbeat_sec)
+workerMain(int fd, double heartbeat_sec,
+           const std::vector<ExperimentPoint> &points)
 {
     for (;;) {
         ReceivedMessage msg;
@@ -80,7 +50,20 @@ workerMain(int fd, double heartbeat_sec)
                 warn("worker: bad assignment: {}", err.what());
                 return 1;
             }
-            if (!runAssignment(fd, assignment)) {
+            if (assignment.index >= points.size()) {
+                warn("worker: assignment index {} is past the {} "
+                     "points",
+                     assignment.index, points.size());
+                return 1;
+            }
+            if (assignment.raise_signal != 0) {
+                ::raise(static_cast<int>(assignment.raise_signal));
+            }
+            Serializer done;
+            savePointResult(done,
+                            Runner::replay(points[assignment.index]));
+            if (sendMessage(fd, done, MsgType::kPointDone, 30.0) !=
+                IoStatus::kOk) {
                 return 0; // Supervisor gone mid-report.
             }
             break;

@@ -40,8 +40,8 @@ std::string toString(MitigationKind kind);
  * Which run-loop drives System::runTo().  Both engines produce
  * bit-identical results (tests/sim/test_engine_diff.cc proves it);
  * kEvent skips provably-idle cycles and is the default.  kTick is the
- * legacy cycle-by-cycle loop, kept for one PR as the differential
- * reference.
+ * cycle-by-cycle loop: the event engine's differential test oracle
+ * and perfbench's cross-check engine.
  */
 enum class SimEngine
 {

@@ -143,7 +143,16 @@ Runner::sweep(const std::vector<ExperimentPoint> &points,
                 return;
             }
             if (journal != nullptr) {
-                journal->record(results[idx]);
+                // Brownout: a failed record write (full disk) costs
+                // only this point's durability -- it re-runs on
+                // resume -- never the result or the sweep.
+                try {
+                    journal->record(results[idx]);
+                } catch (const std::exception &e) {
+                    warn("sweep: journal write for point {} failed "
+                         "({}); keeping the in-memory result",
+                         points[idx].point_id, e.what());
+                }
             }
             executed.fetch_add(1);
             if (progress) {
@@ -240,9 +249,6 @@ Runner::replay(const ExperimentPoint &point, const RunnerOptions &opts)
     const auto start = wallclock::now();
 
     SystemConfig cfg = point.cfg;
-    if (cfg.max_cycles == 0 && opts.point_max_cycles > 0) {
-        cfg.max_cycles = opts.point_max_cycles;
-    }
     PointResult result;
     result.point_id = point.point_id;
     result.seed = cfg.seed;

@@ -43,12 +43,6 @@ struct RunnerOptions
     /** Worker threads; 0 selects std::thread::hardware_concurrency. */
     unsigned jobs = 0;
     /**
-     * Cycle guard applied to points whose config leaves max_cycles at
-     * 0 (0 = keep the config's own generous automatic bound).  This is
-     * what actually stops a livelocked point.
-     */
-    std::uint64_t point_max_cycles = 0;
-    /**
      * Bounded retry-with-reseed for fault-plan points: when a point
      * whose config carries an active FaultPlan classifies VIOLATED or
      * HUNG, re-run it up to this many extra times with a reseeded
@@ -172,7 +166,10 @@ class Runner
      * finish before a hard abort abandons them.  Interrupt at any
      * instant (including SIGKILL), re-invoke with the same journal
      * directory, and the merged results are bit-identical to an
-     * uninterrupted run at any jobs count.
+     * uninterrupted run at any jobs count.  A failed record write
+     * (full disk) is a brownout at any jobs count: it is warned
+     * about, the result is kept in memory and the sweep finishes;
+     * only that point re-runs on resume.
      */
     JournaledSweepResult runJournaled(
         const std::vector<ExperimentPoint> &points,

@@ -204,11 +204,16 @@ TEST(SupervisorPressure, EnospcBrownoutKeepsServingResults)
 
     // Journal and cache are created while the disk still works; then
     // every later durable write fails.  The sweep must complete from
-    // memory, counting (not crashing on) each failed write.
+    // memory, counting (not crashing on) each failed journal write;
+    // the caller's cache stores fail the same way, as in perfbench's
+    // served_sweep (lookup before run(), store after).
     const std::string dir = freshDir("brownout");
     ensureDir(dir);
     SweepJournal journal(dir + "/journal", points);
     ResultCache cache(dir + "/cache");
+    for (const ExperimentPoint &point : points) {
+        ASSERT_FALSE(cache.lookup(point).has_value());
+    }
 
     IoFaultConfig config;
     config.seed = 13;
@@ -217,12 +222,15 @@ TEST(SupervisorPressure, EnospcBrownoutKeepsServingResults)
 
     Supervisor sup(fastOptions(2));
     sup.setJournal(&journal);
-    sup.setCache(&cache);
     const SupervisorReport report = sup.run(points);
 
     EXPECT_EQ(report.exitCode(), 0);
-    // One failed journal write and one failed cache store per point.
-    EXPECT_EQ(report.storage_write_failures, 2 * points.size());
+    // One failed journal write per point.
+    EXPECT_EQ(report.storage_write_failures, points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_THROW(cache.store(points[i], report.results[i]),
+                     SerializeError);
+    }
     for (const auto &entry :
          std::filesystem::directory_iterator(cache.dir())) {
         EXPECT_NE(entry.path().extension(), ".rec") << entry.path();
@@ -265,8 +273,8 @@ TEST(SupervisorStop, GracefulStopThenResumeMatchesCleanRun)
     EXPECT_TRUE(partial.stopped);
     EXPECT_EQ(partial.exitCode(), sweepstop::kResumableExit);
     std::size_t pending = 0;
-    for (const PointSource source : partial.sources) {
-        pending += source == PointSource::kPending ? 1 : 0;
+    for (const PointResult &result : partial.results) {
+        pending += result.status == PointStatus::kNotRun ? 1 : 0;
     }
     EXPECT_GE(pending, 2u);
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Wire-protocol and result-cache tests for the serve layer: codec
- * round-trips (config drift guard included), framing over a real
- * socketpair, timeout/peer-closed outcomes, corrupt-frame rejection,
- * and the content-addressed cache's hit/miss/self-heal behaviour.
+ * Wire-protocol, worker and result-cache tests for the serve layer:
+ * codec round-trips, framing over a real socketpair,
+ * timeout/peer-closed outcomes, corrupt-frame rejection, the worker's
+ * out-of-range-index exit, and the content-addressed cache's
+ * hit/miss/self-heal behaviour.
  */
 
 #include <cstdio>
@@ -18,7 +19,9 @@
 #include "serve/cache.hh"
 #include "serve/io.hh"
 #include "serve/protocol.hh"
+#include "serve/worker.hh"
 #include "sim/experiment.hh"
+#include "sim/journal.hh"
 #include "sim/sharding.hh"
 
 namespace
@@ -50,6 +53,18 @@ samplePoint(std::uint64_t id = 3)
     return p;
 }
 
+PointResult
+okResult(const ExperimentPoint &point)
+{
+    PointResult r;
+    r.point_id = point.point_id;
+    r.status = PointStatus::kOk;
+    r.seed = point.cfg.seed;
+    r.wall_seconds = 0.25;
+    r.run.ipcs = {1.25};
+    return r;
+}
+
 std::string
 freshDir(const std::string &tag)
 {
@@ -59,37 +74,27 @@ freshDir(const std::string &tag)
     return dir;
 }
 
-TEST(ServeProtocol, SystemConfigRoundTripsWithMatchingSignature)
-{
-    const SystemConfig cfg = sampleConfig();
-    Serializer ser;
-    saveSystemConfig(ser, cfg);
-    const auto bytes = ser.finish(FileKind::kServeMessage, 0);
-
-    Deserializer des(bytes, FileKind::kServeMessage, 0);
-    const SystemConfig back = loadSystemConfig(des);
-    des.finish();
-    EXPECT_EQ(configSignature(back), configSignature(cfg));
-    EXPECT_EQ(back.seed, cfg.seed);
-    EXPECT_EQ(back.faults.intensity, cfg.faults.intensity);
-}
-
 TEST(ServeProtocol, TamperedConfigBytesAreAStructuredError)
 {
+    // A bit flip inside a sealed kAssign frame must fail the
+    // receiver's validation, never decode into a different point.
     Serializer ser;
-    saveSystemConfig(ser, sampleConfig());
-    auto bytes = ser.finish(FileKind::kServeMessage, 0);
-    bytes[bytes.size() / 2] ^= 0x40; // payload bit flip
-    EXPECT_THROW(Deserializer(bytes, FileKind::kServeMessage, 0),
-                 SerializeError);
+    saveAssignment(ser, Assignment{3, 0});
+    std::vector<std::uint8_t> frame = sealFrame(ser, MsgType::kAssign);
+    frame[8 + (frame.size() - 8) / 2] ^= 0x40; // body bit flip
+    SocketPair pair = makeSocketPair();
+    ASSERT_EQ(writeAll(pair.supervisor_fd, frame.data(), frame.size(),
+                       1.0),
+              IoStatus::kOk);
+    EXPECT_THROW(recvMessage(pair.worker_fd, 1.0), SerializeError);
+    closeQuiet(pair.supervisor_fd);
+    closeQuiet(pair.worker_fd);
 }
 
 TEST(ServeProtocol, AssignmentAndEventsRoundTrip)
 {
     Assignment assign;
-    assign.attempt = 4;
-    assign.point = samplePoint(9);
-    assign.point.workload = "xz";
+    assign.index = 9;
     assign.raise_signal = 9;
     Serializer ser;
     saveAssignment(ser, assign);
@@ -98,48 +103,45 @@ TEST(ServeProtocol, AssignmentAndEventsRoundTrip)
     Deserializer des(bytes, FileKind::kServeMessage, 0);
     const Assignment back = loadAssignment(des);
     des.finish();
-    EXPECT_EQ(back.attempt, assign.attempt);
-    EXPECT_EQ(back.point.point_id, assign.point.point_id);
-    EXPECT_EQ(back.point.config_label, assign.point.config_label);
-    EXPECT_EQ(back.point.workload, assign.point.workload);
-    EXPECT_EQ(configSignature(back.point.cfg),
-              configSignature(assign.point.cfg));
+    EXPECT_EQ(back.index, assign.index);
     EXPECT_EQ(back.raise_signal, assign.raise_signal);
 
-    PointEvent event{77, 3};
+    // The one worker event, kPointDone, is a bare PointResult.
+    const PointResult done = okResult(samplePoint(77));
     Serializer ser2;
-    savePointEvent(ser2, event);
+    savePointResult(ser2, done);
     const auto bytes2 = ser2.finish(FileKind::kServeMessage, 0);
     Deserializer des2(bytes2, FileKind::kServeMessage, 0);
-    const PointEvent back2 = loadPointEvent(des2);
+    const PointResult back2 = loadPointResult(des2);
     des2.finish();
-    EXPECT_EQ(back2.point_id, event.point_id);
-    EXPECT_EQ(back2.attempt, event.attempt);
+    EXPECT_EQ(back2.point_id, done.point_id);
+    EXPECT_EQ(back2.status, done.status);
+    EXPECT_DOUBLE_EQ(back2.run.ipcs.at(0), done.run.ipcs.at(0));
 }
 
 TEST(ServeProtocol, FramesRoundTripOverASocketpair)
 {
     SocketPair pair = makeSocketPair();
     Serializer ser;
-    savePointEvent(ser, PointEvent{0x1234, 2});
-    ASSERT_EQ(sendMessage(pair.worker_fd, ser, MsgType::kPointStart,
+    saveAssignment(ser, Assignment{0x1234, 0});
+    ASSERT_EQ(sendMessage(pair.supervisor_fd, ser, MsgType::kAssign,
                           1.0),
               IoStatus::kOk);
 
-    ReceivedMessage msg = recvMessage(pair.supervisor_fd, 1.0);
+    ReceivedMessage msg = recvMessage(pair.worker_fd, 1.0);
     ASSERT_EQ(msg.status, IoStatus::kOk);
-    EXPECT_EQ(msg.type, MsgType::kPointStart);
+    EXPECT_EQ(msg.type, MsgType::kAssign);
     ASSERT_TRUE(msg.payload.has_value());
-    EXPECT_EQ(loadPointEvent(*msg.payload).point_id, 0x1234u);
+    EXPECT_EQ(loadAssignment(*msg.payload).index, 0x1234u);
     msg.payload->finish();
 
     // Empty payloads (heartbeat, retire) carry only the envelope.
-    ASSERT_EQ(sendEmptyMessage(pair.supervisor_fd, MsgType::kRetire,
+    ASSERT_EQ(sendEmptyMessage(pair.worker_fd, MsgType::kHeartbeat,
                                1.0),
               IoStatus::kOk);
-    ReceivedMessage retire = recvMessage(pair.worker_fd, 1.0);
-    EXPECT_EQ(retire.status, IoStatus::kOk);
-    EXPECT_EQ(retire.type, MsgType::kRetire);
+    ReceivedMessage beat = recvMessage(pair.supervisor_fd, 1.0);
+    EXPECT_EQ(beat.status, IoStatus::kOk);
+    EXPECT_EQ(beat.type, MsgType::kHeartbeat);
 
     closeQuiet(pair.supervisor_fd);
     closeQuiet(pair.worker_fd);
@@ -195,21 +197,29 @@ TEST(ServeProtocol, GarbagePayloadIsAStructuredError)
     closeQuiet(pair.worker_fd);
 }
 
+TEST(ServeWorker, AssignmentIndexPastTheEndIsAProtocolError)
+{
+    // The worker runs on this thread over a socketpair: it reads the
+    // queued kAssign, finds no point at index 2, and returns 1 without
+    // simulating or replying.
+    const std::vector<ExperimentPoint> points = {samplePoint(0),
+                                                 samplePoint(1)};
+    SocketPair pair = makeSocketPair();
+    Serializer ser;
+    saveAssignment(ser, Assignment{points.size(), 0});
+    ASSERT_EQ(sendMessage(pair.supervisor_fd, ser, MsgType::kAssign,
+                          1.0),
+              IoStatus::kOk);
+    EXPECT_EQ(workerMain(pair.worker_fd, 5.0, points), 1);
+    closeQuiet(pair.worker_fd);
+    EXPECT_EQ(recvMessage(pair.supervisor_fd, 1.0).status,
+              IoStatus::kPeerClosed);
+    closeQuiet(pair.supervisor_fd);
+}
+
 // ------------------------------------------------------------------
 // Result cache
 // ------------------------------------------------------------------
-
-PointResult
-okResult(const ExperimentPoint &point)
-{
-    PointResult r;
-    r.point_id = point.point_id;
-    r.status = PointStatus::kOk;
-    r.seed = point.cfg.seed;
-    r.wall_seconds = 0.25;
-    r.run.ipcs = {1.25};
-    return r;
-}
 
 TEST(ResultCache, MissThenHitThenKeyIdentity)
 {

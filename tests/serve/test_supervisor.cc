@@ -4,7 +4,8 @@
  * injected worker-failure schedule => identical retry traces and
  * bit-identical final manifests at ANY worker count), quarantine
  * after max_strikes, the hang watchdog (SIGSTOPped worker), and
- * cache-served reruns.
+ * parity with the in-process Runner on configs that exercise every
+ * engine, page policy and fault-plan path a worker can inherit.
  *
  * Every test scripts failures through setFailSchedule() rather than
  * chaos rates, so each asserted retry is guaranteed, not
@@ -12,7 +13,6 @@
  */
 
 #include <algorithm>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -176,18 +176,11 @@ TEST(SupervisorRetry, MaxStrikesQuarantinesThePoint)
     });
     const SupervisorReport report = sup.run(points);
 
-    EXPECT_EQ(report.sources[1], PointSource::kQuarantine);
     EXPECT_EQ(report.results[1].status, PointStatus::kFailed);
     EXPECT_EQ(report.results[1].attempts, 2u);
     EXPECT_EQ(report.exitCode(), sweepstop::kQuarantinedExit);
-    // Finished but degraded: nothing pending, exactly one quarantine.
-    EXPECT_EQ(std::count(report.sources.begin(), report.sources.end(),
-                         PointSource::kPending),
-              0);
-    EXPECT_EQ(std::count(report.sources.begin(), report.sources.end(),
-                         PointSource::kQuarantine),
-              1);
-    // The other points are untouched by the neighbour's quarantine.
+    // Finished but degraded: nothing pending, and the other points
+    // are untouched by the neighbour's quarantine.
     for (std::size_t i : {0u, 2u, 3u}) {
         EXPECT_EQ(report.results[i].status, PointStatus::kOk);
     }
@@ -223,30 +216,48 @@ TEST(SupervisorRetry, HangWatchdogKillsAndReschedulesAStoppedWorker)
     EXPECT_EQ(report.results[3].status, PointStatus::kOk);
 }
 
-TEST(SupervisorCache, SecondRunIsServedEntirelyFromCache)
+TEST(SupervisorParity, MixedConfigsMatchTheRunner)
 {
-    const std::vector<ExperimentPoint> points = tinySweep();
-    const std::string dir =
-        ::testing::TempDir() + "mopac_serve_supcache";
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-    ResultCache cache(dir);
+    // Workers run the points they inherited at fork, so every config
+    // field reaches the simulation; these are settings the other
+    // serve tests never use.
+    SystemConfig base = makeConfig(MitigationKind::kMopacD, 500);
+    base.insts_per_core = 3000;
+    base.warmup_insts = 300;
+    SweepSpec spec;
+    spec.master_seed = 23;
+    SystemConfig tick = base;
+    tick.engine = SimEngine::kTick;
+    spec.configs.push_back({"tick", tick});
+    SystemConfig closed = base;
+    closed.mc.page_policy = PagePolicy::kClose;
+    spec.configs.push_back({"close-page", closed});
+    SystemConfig timeout = base;
+    timeout.mc.page_policy = PagePolicy::kTimeout;
+    spec.configs.push_back({"timeout-page", timeout});
+    SystemConfig faulted = base;
+    faulted.faults = FaultPlan::single(FaultKind::kAlertDrop, 0.125);
+    spec.configs.push_back({"alert-drop", faulted});
+    SystemConfig naive = base;
+    naive.mc.naive_scan = true;
+    spec.configs.push_back({"naive-scan", naive});
+    SystemConfig one_chip = base;
+    one_chip.geometry.chips = 1;
+    spec.configs.push_back({"one-chip", one_chip});
+    spec.workloads = {"mcf"};
+    const std::vector<ExperimentPoint> points = spec.expand();
 
-    Supervisor first(fastOptions(2));
-    first.setCache(&cache);
-    const SupervisorReport a = first.run(points);
-    EXPECT_EQ(a.cache_hits, 0u);
-    EXPECT_EQ(a.exitCode(), 0);
-
-    Supervisor second(fastOptions(2));
-    second.setCache(&cache);
-    const SupervisorReport b = second.run(points);
-    EXPECT_EQ(b.cache_hits, points.size());
-    EXPECT_EQ(b.workers_forked, 0u) << "cache hits must not fork";
+    RunnerOptions serial;
+    serial.jobs = 1;
+    const std::vector<PointResult> clean = Runner(serial).run(points);
+    const SupervisorReport report = Supervisor(fastOptions(2)).run(points);
+    ASSERT_EQ(report.results.size(), points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-        EXPECT_EQ(b.sources[i], PointSource::kCache);
-        EXPECT_EQ(canonicalBytes(a.results[i]),
-                  canonicalBytes(b.results[i]));
+        EXPECT_EQ(clean[i].status, PointStatus::kOk)
+            << points[i].config_label << ": " << clean[i].error;
+        EXPECT_EQ(canonicalBytes(report.results[i]),
+                  canonicalBytes(clean[i]))
+            << points[i].config_label;
     }
 }
 

@@ -1,18 +1,21 @@
 /**
  * @file
  * Unit tests for sweep expansion and the runner's failure paths
- * (quarantine, timeout, replay).  The heavyweight
+ * (quarantine, timeout, replay, journal-write brownout).  The heavyweight
  * jobs-1-vs-jobs-N determinism sweep lives in tests/regression.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/serialize.hh"
+#include "sim/journal.hh"
 #include "sim/runner.hh"
 #include "sim/sharding.hh"
 #include "sim/system.hh"
@@ -137,20 +140,6 @@ TEST(Runner, CycleGuardClassifiesPointAsTimedOut)
     EXPECT_FALSE(results[0].error.empty());
 }
 
-TEST(Runner, PointMaxCyclesOptionAppliesWhenConfigHasNone)
-{
-    SweepSpec spec = tinySweep();
-    spec.workloads = {"mcf"};
-    spec.configs = {{"base", tinyConfig()}};
-    const auto points = spec.expand();
-    ASSERT_EQ(points[0].cfg.max_cycles, 0u);
-    RunnerOptions opts;
-    opts.jobs = 1;
-    opts.point_max_cycles = 500;
-    const auto results = Runner(opts).run(points);
-    EXPECT_EQ(results[0].status, PointStatus::kTimedOut);
-}
-
 TEST(Runner, ReplayReproducesTheSweepResult)
 {
     SweepSpec spec = tinySweep();
@@ -199,6 +188,65 @@ TEST(Runner, ProgressCallbackFiresOncePerPoint)
         .run(points, [&](const ExperimentPoint &,
                          const PointResult &) { ++calls; });
     EXPECT_EQ(calls.load(), points.size());
+}
+
+/** Deterministic bytes of a result (wall clock zeroed). */
+std::vector<std::uint8_t>
+canonicalBytes(const PointResult &result)
+{
+    PointResult canon = result;
+    canon.wall_seconds = 0.0;
+    Serializer ser;
+    savePointResult(ser, canon);
+    return ser.finish(FileKind::kPointRecord, canon.point_id);
+}
+
+/** RAII: fail every durable write except the journal manifest. */
+struct PointRecordsFail
+{
+    PointRecordsFail()
+    {
+        setWriteFaultHook([](const std::string &path) {
+            if (std::filesystem::path(path).filename() !=
+                "manifest.bin") {
+                throw SerializeError("injected ENOSPC writing " + path);
+            }
+        });
+    }
+    ~PointRecordsFail() { setWriteFaultHook({}); }
+};
+
+TEST(Runner, JournalWriteFailureKeepsTheSweepRunning)
+{
+    const auto points = tinySweep().expand();
+    const auto clean = Runner(RunnerOptions{.jobs = 1}).run(points);
+    for (unsigned jobs : {1u, 2u}) {
+        const std::string dir = ::testing::TempDir() +
+                                "mopac_runner_brownout_" +
+                                std::to_string(jobs);
+        std::filesystem::remove_all(dir);
+        JournaledSweepResult sweep;
+        {
+            // Every point record fails to write: the sweep neither
+            // throws nor aborts, and keeps each result in memory.
+            PointRecordsFail full_disk;
+            sweep = Runner(RunnerOptions{.jobs = jobs})
+                        .runJournaled(points, dir);
+        }
+        ASSERT_TRUE(sweep.complete()) << "jobs " << jobs;
+        EXPECT_EQ(sweep.executed, points.size());
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            EXPECT_EQ(canonicalBytes(sweep.results[i]),
+                      canonicalBytes(clean[i]))
+                << "jobs " << jobs << " point " << i;
+        }
+        // Only durability degraded: a resume re-runs every point.
+        const JournaledSweepResult resumed =
+            Runner(RunnerOptions{.jobs = jobs}).runJournaled(points, dir);
+        EXPECT_EQ(resumed.reused, 0u);
+        EXPECT_EQ(resumed.executed, points.size());
+        std::filesystem::remove_all(dir);
+    }
 }
 
 } // namespace
